@@ -31,12 +31,15 @@ serve:
 	$(GO) run ./cmd/qlecd -addr :8080 -data-dir qlecd-data
 
 # Everything CI runs (see .github/workflows/ci.yml): build + vet, the
-# full test suite, the race detector, and a short real sweep through the
+# full test suite, the race detector, a short real sweep through the
 # parallel runner under -race to shake out orchestration races that the
-# unit tests' stub protocols cannot reach.
+# unit tests' stub protocols cannot reach, and the perfbench module's
+# tests — it is a module of its own (root `go test ./...` skips it) that
+# compiles against service.Options and FleetOptions.
 ci: build test race race-service
 	$(GO) test -race -run 'TestSweepsParallelMatchSerial|TestMap' ./internal/experiment ./internal/runner
 	$(GO) run -race ./cmd/qlecfig -fig ksweep -quick -workers 0 >/dev/null
+	cd perfbench && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -4,16 +4,18 @@
 // results content-addressed on disk — identical submissions never
 // simulate twice, across restarts included.
 //
-// With -self plus -peers or -join, daemons form a cooperating fleet:
-// sweep jobs split into content-addressed cells that idle peers steal
-// over HTTP (TTL leases re-pool a dead peer's cells), and the result
-// cache is shared via a consistent-hash ring, so a config computed
-// anywhere is a cache hit everywhere (see README "Running a fleet").
+// Sweep jobs and batches split into content-addressed cells drained by
+// -cell-workers executors. A daemon started without -self is a fleet
+// of one. With -self plus -peers or -join, daemons form a cooperating
+// fleet: idle peers steal cells over HTTP (TTL leases re-pool a dead
+// peer's cells), and the result cache is shared via a consistent-hash
+// ring, so a config computed anywhere is a cache hit everywhere (see
+// README "Running a fleet").
 //
 // Usage:
 //
 //	qlecd [-addr :8080] [-data-dir qlecd-data] [-workers 2]
-//	      [-sim-workers 0] [-queue 256] [-retries 1]
+//	      [-queue 256] [-retries 1]
 //	      [-drain-timeout 30s] [-log-level info] [-log-format text]
 //	      [-self http://host:8080] [-peers url,url] [-join url]
 //	      [-cell-workers 0] [-lease-ttl 15s]
@@ -94,7 +96,6 @@ func main() {
 		addr         = flag.String("addr", ":8080", "HTTP listen address")
 		dataDir      = flag.String("data-dir", "qlecd-data", "job/result store directory (empty = in-memory only)")
 		workers      = flag.Int("workers", 2, "concurrent simulation jobs")
-		simWorkers   = flag.Int("sim-workers", 0, "per-job sweep parallelism override (0 = as submitted)")
 		queueLimit   = flag.Int("queue", 256, "maximum queued jobs before 503")
 		retries      = flag.Int("retries", 1, "re-queues per job on transient failure")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
@@ -104,10 +105,10 @@ func main() {
 		version      = flag.Bool("version", false, "print build/VCS metadata and exit")
 		quiet        = flag.Bool("quiet", false, "suppress the operational log")
 
-		self        = flag.String("self", "", "this daemon's base URL as peers reach it (enables fleet mode)")
+		self        = flag.String("self", "", "this daemon's base URL as peers reach it (needed to join or accept peers)")
 		peersFlag   = flag.String("peers", "", "comma-separated peer base URLs to start the fleet roster with")
 		join        = flag.String("join", "", "existing fleet member to join through (adopts its roster)")
-		cellWorkers = flag.Int("cell-workers", 0, "fleet cell executors (0 = same as -workers)")
+		cellWorkers = flag.Int("cell-workers", 0, "sweep/batch cell executors (0 = same as -workers)")
 		leaseTTL    = flag.Duration("lease-ttl", 15*time.Second, "fleet work-lease TTL; a dead peer's cells re-pool after this")
 
 		traceHistory   = flag.Int("trace-history", 64, "per-job trace recorders retained (FIFO eviction)")
@@ -160,7 +161,6 @@ func main() {
 	srv, err := service.New(service.Options{
 		DataDir:               *dataDir,
 		Workers:               *workers,
-		SimWorkers:            *simWorkers,
 		QueueLimit:            *queueLimit,
 		MaxRetries:            *retries,
 		Logger:                logger,

@@ -299,10 +299,12 @@ func (s *Server) runBatch(id string) {
 		c.Error = errMsg
 		if usage != nil && !usage.IsZero() {
 			c.Resources = usage
-			if b.Resources == nil {
-				b.Resources = &prof.Usage{}
+			// Copy on write: batch views share the old pointer.
+			total := *usage
+			if b.Resources != nil {
+				total.Add(*b.Resources)
 			}
-			b.Resources.Add(*usage)
+			b.Resources = &total
 		}
 		b.ConfigsDone++
 		if state == StateFailed {
@@ -332,7 +334,7 @@ func (s *Server) runBatch(id string) {
 		}
 		env, hit := s.cache.peek(hash)
 		proxied := false
-		if !hit && s.fleet != nil {
+		if !hit {
 			env, hit = s.fleet.proxyFetch(ctx, hash)
 			proxied = hit
 		}
@@ -438,9 +440,7 @@ func (s *Server) runBatch(id string) {
 		if perr := s.cache.put(hash, env, true); perr != nil {
 			s.log.Error("batch: cache config result", "batch", id, "hash", hash, "err", perr)
 		}
-		if s.fleet != nil {
-			s.fleet.replicateToOwner(ctx, hash, env)
-		}
+		s.fleet.replicateToOwner(ctx, hash, env)
 		finishConfig(e.idx, StateDone, false, false, "", &e.usage)
 	}
 

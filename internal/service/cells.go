@@ -8,10 +8,11 @@ import (
 
 // cellPlan is a sweep request decomposed into independently executable,
 // content-addressed cell requests plus the deterministic assembly step
-// that folds their outcomes back into the sweep's result envelope. Both
-// the single-daemon path and the fleet path run the same plan, which is
-// what makes a distributed sweep byte-identical to a local one: the
-// cells and the fold are shared code, only the executor differs.
+// that folds their outcomes back into the sweep's result envelope. The
+// cells and the fold are the experiment harness's own code, which is
+// what makes a pooled sweep — on a fleet of one or of many — byte-
+// identical to experiment.Config.RunFig3 and friends: only the executor
+// differs.
 type cellPlan struct {
 	cells    []Request // normalized KindCell requests, in assembly order
 	hashes   []string  // cells[i]'s content hash

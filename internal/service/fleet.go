@@ -17,13 +17,15 @@ import (
 	"qlec/internal/prof"
 )
 
-// FleetOptions configures a daemon's membership in a qlecd fleet
-// (DESIGN.md §14). The zero value runs standalone: the cell scheduler
-// still powers batches and sweep decomposition locally, but no peer
-// traffic happens.
+// FleetOptions configures a daemon's cell pool and its membership in a
+// qlecd fleet (DESIGN.md §14). Every daemon runs sweeps and batches
+// through the same cell pool; the zero value is a standalone daemon, a
+// fleet of one: it owns every hash and has no peer to steal from, proxy
+// to or replicate to, so no peer traffic happens and it refuses joins.
 type FleetOptions struct {
-	// Self is this daemon's advertised base URL (http://host:port).
-	// Setting it enables fleet mode; required when Peers or Join is set.
+	// Self is this daemon's advertised base URL (http://host:port) —
+	// what peers dial. Required when Peers or Join is set, and for
+	// accepting joins; empty means the fleet of one.
 	Self string
 	// Peers lists peer base URLs known at startup.
 	Peers []string
@@ -35,7 +37,8 @@ type FleetOptions struct {
 	// LeaseTTL is how long a granted cell may run between renewals
 	// before it returns to the pool; default 15s.
 	LeaseTTL time.Duration
-	// StealInterval is the idle executor's poll cadence; default 200ms.
+	// StealInterval is how often an idle executor polls peers for work
+	// to steal; default 200ms. Local cells wake executors at once.
 	StealInterval time.Duration
 	// ProbeInterval is the peer health-probe cadence; default 1s.
 	ProbeInterval time.Duration
@@ -57,10 +60,11 @@ type FleetOptions struct {
 // membership, the coordinator-side cell pool, the executor pool that
 // drains it (and steals from peers when it runs dry), and the futures
 // that let sweep jobs and batches wait for cells wherever they run.
+// A standalone daemon runs the same engine with itself as the only
+// member.
 type fleetRuntime struct {
 	s       *Server
 	self    string
-	enabled bool
 	members *fleet.Membership
 	table   *fleet.Table
 	peers   *fleet.Client
@@ -69,6 +73,10 @@ type fleetRuntime struct {
 	stealEvery  time.Duration
 	cellWorkers int
 	joinTarget  string
+	// wake carries one token per executor at most: a cell entering the
+	// local pool drops one in so an idle executor starts it without
+	// waiting out stealEvery, and a burst of offers can wake them all.
+	wake chan struct{}
 
 	mu      sync.Mutex
 	futures map[string]*cellFuture
@@ -130,13 +138,13 @@ func newFleetRuntime(s *Server, opt FleetOptions) (*fleetRuntime, error) {
 	r := &fleetRuntime{
 		s:            s,
 		self:         self,
-		enabled:      opt.Self != "",
 		table:        fleet.NewTable(),
 		peers:        fleet.NewClient(opt.PeerTimeout),
 		ttl:          opt.LeaseTTL,
 		stealEvery:   opt.StealInterval,
 		cellWorkers:  opt.CellWorkers,
 		joinTarget:   opt.Join,
+		wake:         make(chan struct{}, opt.CellWorkers),
 		futures:      make(map[string]*cellFuture),
 		fm:           obs.NewFleetMetrics(s.reg),
 		spans:        obs.NewTraceStore(self, 0, 0),
@@ -145,21 +153,15 @@ func newFleetRuntime(s *Server, opt FleetOptions) (*fleetRuntime, error) {
 		scaleHook:    opt.ScaleHook,
 		stop:         make(chan struct{}),
 	}
-	probe := fleet.ProbeFunc(nil)
-	if r.enabled {
-		probe = func(ctx context.Context, peer string) error {
-			return r.peers.Ready(ctx, peer)
-		}
-	}
-	r.members = fleet.NewMembership(self, probe, opt.ProbeInterval)
+	r.members = fleet.NewMembership(self, r.peers.Ready, opt.ProbeInterval)
 	for _, p := range opt.Peers {
 		r.members.Add(p)
 	}
 	return r, nil
 }
 
-// start launches the executor pool, the lease-expiry sweeper and (in
-// fleet mode) the membership prober and the join announcement.
+// start launches the executor pool, the lease-expiry sweeper, the
+// membership prober and (with a join target) the join announcement.
 func (r *fleetRuntime) start() {
 	for i := 0; i < r.cellWorkers; i++ {
 		r.wg.Add(1)
@@ -180,15 +182,13 @@ func (r *fleetRuntime) start() {
 			r.advisorLoop()
 		}()
 	}
-	if r.enabled {
-		r.members.Start()
-		if r.joinTarget != "" {
-			r.wg.Add(1)
-			go func() {
-				defer r.wg.Done()
-				r.join()
-			}()
-		}
+	r.members.Start()
+	if r.joinTarget != "" {
+		r.wg.Add(1)
+		go func() {
+			defer r.wg.Done()
+			r.join()
+		}()
 	}
 }
 
@@ -265,8 +265,18 @@ func (r *fleetRuntime) schedule(req Request, hash, trace string) (*cellFuture, e
 		if sc, ok := obs.ParseTraceParent(trace); ok {
 			r.spans.Instant(sc, "cell pooled "+shortHash(hash), "pool", map[string]any{"hash": hash})
 		}
+		r.wakeExecutor()
 	}
 	return f, nil
+}
+
+// wakeExecutor hands an idle executor a token; when every token is
+// already out, enough executors are awake to find the cell.
+func (r *fleetRuntime) wakeExecutor() {
+	select {
+	case r.wake <- struct{}{}:
+	default:
+	}
 }
 
 // shortHash abbreviates a content hash for span names.
@@ -325,7 +335,8 @@ func (r *fleetRuntime) complete(hash string, env *ResultEnvelope, errMsg string,
 }
 
 // executorLoop is one cell executor: drain the local pool, then steal
-// from ready peers, then idle briefly.
+// from ready peers, then idle until a local cell arrives or the next
+// steal poll is due.
 func (r *fleetRuntime) executorLoop() {
 	for {
 		select {
@@ -343,6 +354,7 @@ func (r *fleetRuntime) executorLoop() {
 			return
 		case <-r.s.hardCtx.Done():
 			return
+		case <-r.wake:
 		case <-time.After(r.stealEvery):
 		}
 	}
@@ -357,7 +369,7 @@ func (r *fleetRuntime) runOneCell() bool {
 		r.executeLocal(leases[0])
 		return true
 	}
-	if !r.enabled || r.s.draining.Load() {
+	if r.s.draining.Load() {
 		r.fm.StealStarvation.Inc()
 		return false
 	}
@@ -517,9 +529,6 @@ func (r *fleetRuntime) resolveOrRun(ctx context.Context, c fleet.Cell) (*ResultE
 	if err := req.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if r.s.opt.SimWorkers > 0 {
-		req.Config.Workers = r.s.opt.SimWorkers
-	}
 	bracket := prof.Begin()
 	env, err := r.s.opt.Run(obs.ContextWithMetrics(ctx, r.s.reg), req, func(Event) {})
 	usage := bracket.EndWith(r.s.sampler)
@@ -577,6 +586,9 @@ func (r *fleetRuntime) expiryLoop() {
 		case now := <-t.C:
 			if cells := r.table.ExpireDue(now); len(cells) > 0 {
 				r.s.log.Warn("fleet: leases expired, cells re-pooled", "cells", len(cells))
+				for range cells {
+					r.wakeExecutor()
+				}
 			}
 		}
 	}
@@ -616,17 +628,13 @@ func (r *fleetRuntime) observeAdvisor(now time.Time) {
 	qw := r.s.om.queueWait.Snapshot()
 	cw := r.fm.CellWait.Snapshot()
 	pending, _, _ := r.table.Stats()
-	ready := 1 // self
-	if r.enabled {
-		ready += len(r.members.ReadyOthers())
-	}
 	sample := fleet.Sample{
 		At:          now,
 		WaitCount:   qw.Count + cw.Count,
 		WaitOverSLO: (qw.Count - qw.CountAtMost(sloSec)) + (cw.Count - cw.CountAtMost(sloSec)),
 		Starved:     uint64(r.fm.StealStarvation.Value()),
 		Backlog:     r.s.queue.depth() + pending,
-		ReadyPeers:  ready,
+		ReadyPeers:  1 + len(r.members.ReadyOthers()), // self included
 		Workers:     r.s.opt.Workers + r.cellWorkers,
 		BusyWorkers: int(r.s.om.busyWorkers.Value()),
 	}
@@ -690,11 +698,8 @@ func (r *fleetRuntime) fireScaleHook(adv fleet.Advice) {
 
 // proxyFetch asks the hash's ring owner for a cached result; a hit is
 // adopted into the local memory cache. Misses (including "we are the
-// owner" and standalone mode) report false.
+// owner", always true in a fleet of one) report false.
 func (r *fleetRuntime) proxyFetch(ctx context.Context, hash string) (*ResultEnvelope, bool) {
-	if !r.enabled {
-		return nil, false
-	}
 	owner := r.members.Owner(hash)
 	if owner == "" || owner == r.self {
 		return nil, false
@@ -729,7 +734,7 @@ func (r *fleetRuntime) proxyFetch(ctx context.Context, hash string) (*ResultEnve
 // future lookup fleet-wide resolves in one proxy hop. Best-effort: the
 // local (persisted) copy is authoritative for this daemon either way.
 func (r *fleetRuntime) replicateToOwner(ctx context.Context, hash string, env *ResultEnvelope) {
-	if !r.enabled || env == nil {
+	if env == nil {
 		return
 	}
 	owner := r.members.Owner(hash)
@@ -757,10 +762,10 @@ func (r *fleetRuntime) replicateToOwner(ctx context.Context, hash string, env *R
 // runSweep executes a sweep request through the cell pool: decompose,
 // resolve-or-schedule every cell, wait in assembly order while
 // publishing per-cell progress, then fold. The plan and the fold are
-// the same code the in-process path runs, so the result is
-// byte-identical to a single-daemon execution no matter where the
-// cells ran. The returned usage sums the cells' execution bills
-// wherever they ran (cache hits contribute zero).
+// the harness's own cell builders and Assemble steps, so the result is
+// byte-identical to experiment.Config.RunFig3 (and friends) no matter
+// where the cells ran. The returned usage sums the cells' execution
+// bills wherever they ran (cache hits contribute zero).
 func (r *fleetRuntime) runSweep(ctx context.Context, req Request, publish func(Event)) (*ResultEnvelope, prof.Usage, error) {
 	var usage prof.Usage
 	plan, err := planCells(req)
@@ -783,9 +788,7 @@ func (r *fleetRuntime) runSweep(ctx context.Context, req Request, publish func(E
 	defer releaseAll()
 
 	done := 0
-	progress := func() {
-		publish(Event{Type: EventSweep, Sweep: &SweepProgress{Done: done, Total: total}})
-	}
+	progress := sweepProgress(publish, obs.MetricsFromContext(ctx), obs.TraceFromContext(ctx))
 	// Cells inherit the sweep's trace: every executor (local or thief)
 	// parses this traceparent and records its spans under one trace ID.
 	sweepSC := obs.SpanFromContext(ctx)
@@ -807,7 +810,7 @@ func (r *fleetRuntime) runSweep(ctx context.Context, req Request, publish func(E
 		r.spans.Span(sweepSC.Child(), "sweep fan-out", "sweep", fanStart, time.Now(),
 			map[string]any{"cells": total, "pooled": len(futures)})
 	}
-	progress()
+	progress(done, total)
 	for i := 0; i < total; i++ {
 		f := futures[i]
 		if f == nil {
@@ -826,26 +829,33 @@ func (r *fleetRuntime) runSweep(ctx context.Context, req Request, publish func(E
 		}
 		outcomes[i] = f.env
 		done++
-		progress()
+		progress(done, total)
 	}
 	releaseAll()
 	env, err := plan.assemble(outcomes)
 	return env, usage, err
 }
 
-// distributable reports whether a request should route through the cell
-// pool instead of the monolithic RunFunc. Sweeps distribute when fleet
-// mode is on; KindOne keeps the direct path (round streaming, audit
-// recorder and trace hooks are single-run features).
-func (r *fleetRuntime) distributable(kind JobKind) bool {
-	if !r.enabled {
-		return false
+// sweepProgress reports a sweep job's cell progress: an EventSweep on
+// the job's stream, the qlec_sweep_cells_* gauges when reg is set, and
+// a job-trace instant.
+func sweepProgress(publish func(Event), reg *obs.Registry, rec *obs.TraceRecorder) func(done, total int) {
+	var doneG, totalG *obs.Gauge
+	if reg != nil {
+		doneG = reg.Gauge("qlec_sweep_cells_done",
+			"Sweep cells completed in the currently executing sweep job.")
+		totalG = reg.Gauge("qlec_sweep_cells_total",
+			"Sweep cells in the currently executing sweep job.")
 	}
-	switch kind {
-	case KindFig3, KindKSweep, KindNSweep:
-		return true
+	return func(done, total int) {
+		publish(Event{Type: EventSweep, Sweep: &SweepProgress{Done: done, Total: total}})
+		if reg != nil {
+			doneG.Set(float64(done))
+			totalG.Set(float64(total))
+		}
+		rec.Instant(fmt.Sprintf("cell %d/%d", done, total), "sweep",
+			map[string]any{"done": done, "total": total})
 	}
-	return false
 }
 
 // --- HTTP handlers (mounted by Server.Handler under /v1/fleet) ---
@@ -872,6 +882,13 @@ func (s *Server) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFleetJoin(w http.ResponseWriter, r *http.Request) {
+	if s.opt.Fleet.Self == "" {
+		// Without an advertised URL the joiner could never steal from,
+		// proxy to or probe this daemon back: membership would be
+		// one-sided.
+		writeErr(w, http.StatusConflict, "join: this daemon has no self URL (start it with -self to accept peers)")
+		return
+	}
 	var req fleet.JoinRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, "decode join: %v", err)

@@ -120,25 +120,30 @@ func fleetSweepCfg() experiment.Config {
 	return cfg
 }
 
-// runReference executes req on a plain standalone server and returns
-// its result envelope as canonical JSON — the byte-identity baseline.
+// runReference runs req through the experiment harness directly —
+// experiment.Config.RunFig3/RunKSweep/RunNSweep, no daemon and no cell
+// pool — and returns the envelope a daemon must serve for it as JSON:
+// the byte-identity baseline every daemon's sweep is compared against.
 func runReference(t *testing.T, req service.Request) []byte {
 	t.Helper()
-	_, cl := newTestServer(t, service.Options{Workers: 2})
+	n := req.Normalize()
+	hash, err := n.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	j, err := cl.Submit(ctx, req)
-	if err != nil {
-		t.Fatal(err)
+	env := service.ResultEnvelope{Kind: n.Kind, Hash: hash}
+	switch n.Kind {
+	case service.KindFig3:
+		env.Fig3, err = n.Config.RunFig3(ctx, n.Protocols)
+	case service.KindKSweep:
+		env.KSweep, err = n.Config.RunKSweep(ctx, n.Protocols[0], n.Ks, n.Lambda)
+	case service.KindNSweep:
+		env.NSweep, err = n.Config.RunNSweep(ctx, n.Protocols[0], n.Ns, n.Lambda)
+	default:
+		t.Fatalf("no harness reference for kind %q", n.Kind)
 	}
-	done, err := cl.Wait(ctx, j.ID, 10*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done.State != service.StateDone {
-		t.Fatalf("reference job %s (error %q), want done", done.State, done.Error)
-	}
-	env, err := cl.Result(ctx, done.Hash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +156,8 @@ func runReference(t *testing.T, req service.Request) []byte {
 
 // TestFleetSweepDistributesAndMatchesLocal is the headline fleet
 // contract: a 3-daemon fleet executes one sweep's cells on at least two
-// peers, and the merged result is byte-identical to a single-daemon run
-// of the same request.
+// peers, and the merged result is byte-identical to the harness's own
+// run of the same request.
 func TestFleetSweepDistributesAndMatchesLocal(t *testing.T) {
 	req := service.Request{
 		Kind:      service.KindFig3,
@@ -189,7 +194,7 @@ func TestFleetSweepDistributesAndMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(got) != string(want) {
-		t.Errorf("fleet sweep result differs from the single-daemon run\nfleet: %.200s\nlocal: %.200s", got, want)
+		t.Errorf("fleet sweep result differs from the harness run\nfleet:   %.200s\nharness: %.200s", got, want)
 	}
 
 	executors := 0
@@ -264,8 +269,8 @@ func TestFleetProxyCacheHits(t *testing.T) {
 
 // TestFleetPeerKillRecovery: a peer steals cells and dies without
 // completing them; their leases expire, the cells re-pool, surviving
-// peers finish them, and the merged result still matches a
-// single-daemon run bit for bit. No cell is lost.
+// peers finish them, and the merged result still matches the harness's
+// run bit for bit. No cell is lost.
 func TestFleetPeerKillRecovery(t *testing.T) {
 	cfg := fleetSweepCfg()
 	req := service.Request{
@@ -323,7 +328,7 @@ func TestFleetPeerKillRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(got) != string(want) {
-		t.Errorf("post-recovery result differs from the single-daemon run\nfleet: %.200s\nlocal: %.200s", got, want)
+		t.Errorf("post-recovery result differs from the harness run\nfleet:   %.200s\nharness: %.200s", got, want)
 	}
 	// No lost cells: the pool is empty once the job is done.
 	f := n1.fleet(t)

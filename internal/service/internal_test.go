@@ -313,3 +313,24 @@ func TestStoreRejectsUnsafeNames(t *testing.T) {
 		t.Fatal("path traversal accepted as job id")
 	}
 }
+
+func TestHistoryFIFOEviction(t *testing.T) {
+	h := newHistory[*int](2)
+	one, two, three := 1, 2, 3
+	h.put("a", &one)
+	h.put("b", &two)
+	h.put("a", &three) // replacing keeps a's place in the FIFO
+	if h.len() != 2 || *h.get("a") != 3 {
+		t.Fatalf("after replace: len %d, a = %v", h.len(), h.get("a"))
+	}
+	h.put("c", &one)
+	if h.get("a") != nil {
+		t.Error("oldest entry survived past the cap")
+	}
+	if h.len() != 2 || h.get("b") == nil || h.get("c") == nil {
+		t.Errorf("after eviction: len %d, b %v, c %v; want the two newest", h.len(), h.get("b"), h.get("c"))
+	}
+	if newHistory[string](0).max != defaultHistory {
+		t.Error("non-positive cap does not fall back to the default")
+	}
+}

@@ -3,7 +3,6 @@ package service
 import (
 	"sync"
 
-	"qlec/internal/audit"
 	"qlec/internal/obs"
 	"qlec/internal/prof"
 )
@@ -45,10 +44,11 @@ func newServerMetrics(r *obs.Registry, s *Server) *serverMetrics {
 		sseSubs: r.Gauge("qlecd_sse_subscribers",
 			"Open SSE event streams."),
 		// The job-cost counters increment where execution actually
-		// happens: direct-run jobs on their worker's daemon under their
-		// own kind, sweep cells on the executing daemon (local or thief)
-		// under kind="cell". Distributed sweep jobs add nothing directly
-		// — their cost IS their cells' — so the federated sum over all
+		// happens: KindOne jobs on their worker's daemon under
+		// kind="one", sweep and batch cells on the executing daemon
+		// (local or thief) under kind="cell". Sweep jobs and batches add
+		// nothing directly — their cost IS their cells' — on a fleet of
+		// one and a fleet of many alike, so the federated sum over all
 		// label sets is the fleet's exact execution cost, with no double
 		// counting and trivially equal to the per-peer sums.
 		jobCPU: r.CounterVec("qlecd_job_cpu_seconds_total",
@@ -153,48 +153,6 @@ func newFleetCollectors(r *obs.Registry, s *Server) {
 // raise or lower it per deployment.
 const defaultHistory = 64
 
-// traceTable is the bounded per-job trace store behind
-// GET /v1/jobs/{id}/trace; older traces age out FIFO once their cap is
-// reached.
-type traceTable struct {
-	mu    sync.Mutex
-	byJob map[string]*obs.TraceRecorder
-	order []string
-	max   int
-}
-
-func newTraceTable(max int) *traceTable {
-	if max <= 0 {
-		max = defaultHistory
-	}
-	return &traceTable{byJob: make(map[string]*obs.TraceRecorder), max: max}
-}
-
-func (t *traceTable) put(id string, rec *obs.TraceRecorder) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.byJob[id]; !ok {
-		t.order = append(t.order, id)
-	}
-	t.byJob[id] = rec
-	for len(t.order) > t.max {
-		delete(t.byJob, t.order[0])
-		t.order = t.order[1:]
-	}
-}
-
-func (t *traceTable) get(id string) *obs.TraceRecorder {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.byJob[id]
-}
-
-func (t *traceTable) len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.byJob)
-}
-
 // serviceAuditEntries/serviceAuditDecisions size the per-job recorder
 // rings below the package defaults: every retained artifact can be
 // resident at once, so each is kept to a few megabytes. The summary
@@ -204,43 +162,45 @@ const (
 	serviceAuditDecisions = 1 << 12
 )
 
-// auditTable is the bounded per-job artifact store behind
-// GET /v1/jobs/{id}/audit; like traces, older artifacts age out FIFO.
-type auditTable struct {
+// history is a bounded per-job store: once it holds max entries, the
+// oldest ages out FIFO. It backs GET /v1/jobs/{id}/trace (trace
+// recorders) and GET /v1/jobs/{id}/audit (audit artifacts).
+type history[T any] struct {
 	mu    sync.Mutex
-	byJob map[string]*audit.Artifact
+	byJob map[string]T
 	order []string
 	max   int
 }
 
-func newAuditTable(max int) *auditTable {
+func newHistory[T any](max int) *history[T] {
 	if max <= 0 {
 		max = defaultHistory
 	}
-	return &auditTable{byJob: make(map[string]*audit.Artifact), max: max}
+	return &history[T]{byJob: make(map[string]T), max: max}
 }
 
-func (t *auditTable) put(id string, a *audit.Artifact) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.byJob[id]; !ok {
-		t.order = append(t.order, id)
+func (h *history[T]) put(id string, v T) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if _, ok := h.byJob[id]; !ok {
+		h.order = append(h.order, id)
 	}
-	t.byJob[id] = a
-	for len(t.order) > t.max {
-		delete(t.byJob, t.order[0])
-		t.order = t.order[1:]
+	h.byJob[id] = v
+	for len(h.order) > h.max {
+		delete(h.byJob, h.order[0])
+		h.order = h.order[1:]
 	}
 }
 
-func (t *auditTable) get(id string) *audit.Artifact {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.byJob[id]
+// get returns the entry for id, or T's zero value once it aged out.
+func (h *history[T]) get(id string) T {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.byJob[id]
 }
 
-func (t *auditTable) len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.byJob)
+func (h *history[T]) len() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.byJob)
 }

@@ -378,3 +378,58 @@ func TestVersionAndMetricsJSON(t *testing.T) {
 		t.Errorf("metrics.json workers = %d, want 1", m.Workers)
 	}
 }
+
+// TestHistoryCapsEvictFIFO: with TraceHistory/AuditHistory at 2, the
+// third executed job ages the first one's recorder and artifact out,
+// and the *_held gauges report the caps.
+func TestHistoryCapsEvictFIFO(t *testing.T) {
+	_, cl, base := newObsTestServer(t, service.Options{Workers: 1, TraceHistory: 2, AuditHistory: 2})
+	ctx := context.Background()
+	var ids []string
+	for rounds := 2; rounds <= 4; rounds++ {
+		cfg := tinyCfg()
+		cfg.Rounds = rounds
+		j, err := cl.Submit(ctx, oneRequest(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done, err := cl.Wait(ctx, j.ID, time.Millisecond); err != nil || done.State != service.StateDone {
+			t.Fatalf("job %s: %+v, %v", j.ID, done, err)
+		}
+		ids = append(ids, j.ID)
+	}
+
+	out := scrape(t, base)
+	for _, want := range []string{"qlecd_traces_held 2", "qlecd_audits_held 2"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("scrape missing %q", want)
+		}
+	}
+	status := func(path string) int {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if got := status("/v1/jobs/" + ids[0] + "/audit"); got != http.StatusNotFound {
+		t.Errorf("audit of the evicted job = %d, want 404", got)
+	}
+	for _, id := range ids[1:] {
+		if got := status("/v1/jobs/" + id + "/audit"); got != http.StatusOK {
+			t.Errorf("audit of retained job %s = %d, want 200", id, got)
+		}
+	}
+	// The job span lives in the per-job recorder; fleet-store spans
+	// (queue wait, submit) outlive it, so look for the span itself.
+	hasJobSpan := func(id string) bool {
+		return strings.Contains(string(httpGet(t, base+"/v1/jobs/"+id+"/trace")), `"job `+id+`"`)
+	}
+	if hasJobSpan(ids[0]) {
+		t.Error("evicted job's trace recorder still served")
+	}
+	if !hasJobSpan(ids[2]) {
+		t.Error("newest job's trace recorder missing")
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"qlec/internal/audit"
 	"qlec/internal/obs"
 	"qlec/internal/prof"
 	"qlec/internal/protocol"
@@ -33,10 +34,6 @@ type Options struct {
 	// MaxRetries is how many times a transiently-failed job re-enters
 	// the queue before failing terminally. Default 1.
 	MaxRetries int
-	// SimWorkers, when positive, overrides each job's Config.Workers so
-	// a W-worker pool doesn't fan every sweep out across every CPU.
-	// Zero honours the submitted configuration.
-	SimWorkers int
 	// Run executes jobs; default Execute. Tests substitute stubs.
 	Run RunFunc
 	// Logger receives structured operational logs; default discards.
@@ -62,8 +59,9 @@ type Options struct {
 	// at most one capture pair per trigger reason per gap. Zero keeps the
 	// 5-minute default; negative disables auto-capture.
 	AutoProfileMinGap time.Duration
-	// Fleet configures peer-to-peer work stealing and the shared result
-	// cache (DESIGN.md §14). The zero value runs standalone.
+	// Fleet configures the cell pool every sweep and batch runs through,
+	// plus peer-to-peer work stealing and the shared result cache
+	// (DESIGN.md §14). The zero value is a standalone fleet of one.
 	Fleet FleetOptions
 }
 
@@ -96,8 +94,8 @@ type Server struct {
 	reg    *obs.Registry
 	om     *serverMetrics
 	httpm  *obs.HTTPMetrics
-	traces *traceTable
-	audits *auditTable
+	traces *history[*obs.TraceRecorder]
+	audits *history[*audit.Artifact]
 
 	sampler  *prof.Sampler
 	profiles *prof.Store
@@ -146,8 +144,8 @@ func New(opt Options) (*Server, error) {
 		start:       time.Now(),
 		log:         opt.Logger,
 		reg:         opt.Metrics,
-		traces:      newTraceTable(opt.TraceHistory),
-		audits:      newAuditTable(opt.AuditHistory),
+		traces:      newHistory[*obs.TraceRecorder](opt.TraceHistory),
+		audits:      newHistory[*audit.Artifact](opt.AuditHistory),
 	}
 	s.hardCtx, s.hardCancel = context.WithCancel(context.Background())
 	profMax := opt.ProfileHistory
@@ -681,9 +679,6 @@ func (s *Server) handleBatchTrace(w http.ResponseWriter, r *http.Request) {
 // partial trace, never an error.
 func (s *Server) collectFleetSpans(traceID string) []obs.SpanRecord {
 	spans := s.fleet.spans.Spans(traceID)
-	if !s.fleet.enabled {
-		return spans
-	}
 	for _, peer := range s.fleet.members.ReadyOthers() {
 		ctx, cancel := context.WithTimeout(s.hardCtx, 2*time.Second)
 		ps, err := s.fleet.peers.TraceSpans(ctx, peer, traceID)
@@ -751,26 +746,25 @@ func (s *Server) Metrics() Metrics {
 		}
 	}
 	s.mu.Unlock()
-	if fr := s.fleet; fr != nil && fr.enabled {
-		pending, leased, expired := fr.table.Stats()
-		ready, total := 0, 0
-		for _, p := range fr.members.Peers() {
-			total++
-			if p.Ready {
-				ready++
-			}
+	fr := s.fleet
+	pending, leased, expired := fr.table.Stats()
+	peers := fr.members.Peers()
+	ready := 0
+	for _, p := range peers {
+		if p.Ready {
+			ready++
 		}
-		m.Fleet = &FleetSnapshot{
-			Self:          fr.self,
-			PeersReady:    ready,
-			PeersTotal:    total,
-			CellsPending:  pending,
-			CellsLeased:   leased,
-			LeaseExpiries: expired,
-			CellsExecuted: int64(fr.fm.CellsExecuted.With("local").Value() + fr.fm.CellsExecuted.With("stolen").Value()),
-			CellsStolen:   int64(fr.fm.CellsStolenIn.Value()),
-			ProxyHits:     int64(fr.fm.ProxyHitsFetched.Value()),
-		}
+	}
+	m.Fleet = &FleetSnapshot{
+		Self:          fr.self,
+		PeersReady:    ready,
+		PeersTotal:    len(peers),
+		CellsPending:  pending,
+		CellsLeased:   leased,
+		LeaseExpiries: expired,
+		CellsExecuted: int64(fr.fm.CellsExecuted.With("local").Value() + fr.fm.CellsExecuted.With("stolen").Value()),
+		CellsStolen:   int64(fr.fm.CellsStolenIn.Value()),
+		ProxyHits:     int64(fr.fm.ProxyHitsFetched.Value()),
 	}
 	return m
 }
