@@ -32,7 +32,8 @@
 //	GET    /v1/jobs/{id}        job state
 //	DELETE /v1/jobs/{id}        cancel (idempotent; next round boundary)
 //	GET    /v1/jobs/{id}/events SSE progress stream
-//	GET    /v1/jobs/{id}/trace  Chrome trace_event JSON for the job
+//	GET    /v1/jobs/{id}/trace  fleet-merged Chrome trace_event JSON for
+//	                            the job (job span, rounds or cells, hops)
 //	GET    /v1/jobs/{id}/audit  flight-recorder artifact (single runs;
 //	                            inspect with cmd/qlecaudit)
 //	POST   /v1/batches          submit many configs as one batch
@@ -59,7 +60,6 @@
 //	GET    /metrics             Prometheus text exposition
 //	GET    /metrics/federate    fleet-merged exposition (all ready peers;
 //	                            watch it live with cmd/qlecstat)
-//	GET    /metrics.json        legacy JSON counter snapshot
 //	GET    /version             build/VCS metadata
 //	GET    /debug/pprof/        profiling endpoints (with -pprof)
 //
@@ -111,7 +111,7 @@ func main() {
 		cellWorkers = flag.Int("cell-workers", 0, "sweep/batch cell executors (0 = same as -workers)")
 		leaseTTL    = flag.Duration("lease-ttl", 15*time.Second, "fleet work-lease TTL; a dead peer's cells re-pool after this")
 
-		traceHistory   = flag.Int("trace-history", 64, "per-job trace recorders retained (FIFO eviction)")
+		traceHistory   = flag.Int("trace-history", 64, "traces retained in the span store (FIFO eviction; a running job's trace is never evicted)")
 		auditHistory   = flag.Int("audit-history", 64, "per-job audit artifacts retained (FIFO eviction)")
 		profileHistory = flag.Int("profile-history", 32, "captured profile artifacts retained (FIFO eviction)")
 		runtimeSample  = flag.Duration("runtime-sample", 10*time.Second, "runtime sampler cadence behind qlecd_runtime_* and /v1/runtime (0 = off)")

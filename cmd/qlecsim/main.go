@@ -208,16 +208,20 @@ func main() {
 			os.Exit(1)
 		}
 	} else {
-		var rec *obs.TraceRecorder
+		// -chrometrace records into a one-trace span store — the same
+		// span model qlecd serves — with every round parented on the run.
+		var spans *obs.TraceStore
+		var runSC obs.SpanContext
 		if *chromePath != "" {
-			rec = obs.NewTraceRecorder(0)
+			spans, runSC = obs.NewTraceStore("qlecsim", 1), obs.NewSpanContext()
 		}
-		if !*quiet || rec != nil {
-			prev := time.Now()
+		start := time.Now()
+		if !*quiet || spans != nil {
+			prev := start
 			s.Config.Observer = func(snap sim.RoundSnapshot) {
-				if rec != nil {
+				if spans != nil {
 					now := time.Now()
-					rec.Span(fmt.Sprintf("round %d", snap.Round), "sim", prev, now,
+					spans.Span(runSC.Child(), fmt.Sprintf("round %d", snap.Round), "sim", prev, now,
 						map[string]any{"alive": snap.Alive, "delivered": snap.Stats.Delivered})
 					prev = now
 				}
@@ -227,7 +231,6 @@ func main() {
 				}
 			}
 		}
-		start := time.Now()
 		res, err = qlec.RunContext(ctx, s)
 		meter.Close()
 		interrupted := err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
@@ -239,20 +242,22 @@ func main() {
 			fmt.Fprintf(os.Stderr, "qlecsim: run stopped early (%v) after %d rounds in %v; partial results follow\n",
 				err, res.Rounds, time.Since(start).Round(time.Millisecond))
 		}
-		if rec != nil {
+		if spans != nil {
+			spans.Span(runSC, "run", "run", start, time.Now(), map[string]any{"rounds": res.Rounds})
+			recorded := spans.Spans(runSC.TraceID)
 			fh, err := os.Create(*chromePath)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "qlecsim:", err)
 				os.Exit(1)
 			}
-			if err := rec.WriteJSON(fh); err == nil {
+			if err := obs.WriteChromeTrace(fh, recorded); err == nil {
 				err = fh.Close()
 			}
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "qlecsim:", err)
 				os.Exit(1)
 			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%d events)\n", *chromePath, rec.Len())
+			fmt.Fprintf(os.Stderr, "wrote %s (%d events)\n", *chromePath, len(recorded))
 		}
 	}
 	if flushTrace != nil {

@@ -212,9 +212,8 @@ func (c Config) Validate() error {
 			return err
 		}
 		n = len(c.Topology.Positions)
-	} else if c.N <= 0 || c.Side <= 0 || c.InitialEnergy <= 0 {
-		return fmt.Errorf("experiment: invalid deployment (N=%d, side=%v, E0=%v)",
-			c.N, c.Side, c.InitialEnergy)
+	} else if err := c.deployment().Validate(); err != nil {
+		return fmt.Errorf("experiment: %w", err)
 	}
 	if c.Rounds <= 0 {
 		return fmt.Errorf("experiment: Rounds must be positive, got %d", c.Rounds)
@@ -240,6 +239,17 @@ func (c Config) Validate() error {
 		return fmt.Errorf("experiment: FCMLevels must be >= 1")
 	}
 	return c.Sim.Validate()
+}
+
+// deployment is the uniform-cube deployment the config describes when
+// it has no custom Topology: Validate checks it, runOneValidated
+// deploys it, so anything accepted can be deployed.
+func (c Config) deployment() network.Deployment {
+	return network.Deployment{
+		N: c.N, Side: c.Side, InitialEnergy: c.InitialEnergy,
+		AdvancedFraction: c.AdvancedFraction, AdvancedFactor: c.AdvancedFactor,
+		SuperFraction: c.SuperFraction, SuperFactor: c.SuperFactor,
+	}
 }
 
 // BuildProtocol constructs a protocol instance bound to the network by
@@ -295,11 +305,7 @@ func (c Config) runOneValidated(ctx context.Context, id ProtocolID, lambda float
 		w, err = network.FromPositions(c.Topology.Positions, c.Topology.Energies,
 			c.Topology.Box, c.Topology.BS)
 	} else {
-		w, err = network.Deploy(network.Deployment{
-			N: c.N, Side: c.Side, InitialEnergy: c.InitialEnergy,
-			AdvancedFraction: c.AdvancedFraction, AdvancedFactor: c.AdvancedFactor,
-			SuperFraction: c.SuperFraction, SuperFactor: c.SuperFactor,
-		}, rng.NewNamed(seed, "experiment/deploy"))
+		w, err = network.Deploy(c.deployment(), rng.NewNamed(seed, "experiment/deploy"))
 	}
 	if err != nil {
 		return nil, err

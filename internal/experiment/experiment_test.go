@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -55,6 +56,48 @@ func TestConfigValidation(t *testing.T) {
 		mut(&c)
 		if err := c.Validate(); err == nil {
 			t.Fatalf("invalid config accepted: %+v", c)
+		}
+	}
+}
+
+// TestConfigValidatesDeployment: Validate checks the very deployment
+// RunOne would build, so a config with impossible node tiers is refused
+// up front — naming the field — instead of failing when it runs.
+func TestConfigValidatesDeployment(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		mut   func(*Config)
+		field string // "" = valid
+	}{
+		{"homogeneous", func(c *Config) {}, ""},
+		{"two tiers", func(c *Config) { c.AdvancedFraction, c.AdvancedFactor = 0.2, 1 }, ""},
+		{"three tiers", func(c *Config) {
+			c.AdvancedFraction, c.AdvancedFactor = 0.2, 1
+			c.SuperFraction, c.SuperFactor = 0.1, 2
+		}, ""},
+		{"advanced fraction above 1", func(c *Config) { c.AdvancedFraction, c.AdvancedFactor = 1.5, 1 }, "AdvancedFraction"},
+		{"advanced without factor", func(c *Config) { c.AdvancedFraction = 0.2 }, "AdvancedFactor"},
+		{"negative super factor", func(c *Config) { c.SuperFraction, c.SuperFactor = 0.2, -1 }, "SuperFactor"},
+		{"negative super fraction", func(c *Config) { c.SuperFraction, c.SuperFactor = -0.1, 1 }, "SuperFraction"},
+		{"tiers above 1", func(c *Config) {
+			c.AdvancedFraction, c.AdvancedFactor = 0.6, 1
+			c.SuperFraction, c.SuperFactor = 0.5, 2
+		}, "AdvancedFraction+SuperFraction"},
+		{"infinite side", func(c *Config) { c.Side = math.Inf(1) }, "Side"},
+		{"no energy", func(c *Config) { c.InitialEnergy = 0 }, "InitialEnergy"},
+	} {
+		c := PaperConfig()
+		tc.mut(&c)
+		err := c.Validate()
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("%s: valid config refused: %v", tc.name, err)
+		case tc.field != "" && (err == nil || !strings.Contains(err.Error(), tc.field)):
+			t.Errorf("%s: Validate = %v, want an error naming %s", tc.name, err, tc.field)
+		case tc.field == "":
+			if _, err := c.RunOne(context.Background(), QLEC, 4, 1, false); err != nil {
+				t.Errorf("%s: accepted config failed to run: %v", tc.name, err)
+			}
 		}
 	}
 }

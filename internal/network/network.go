@@ -80,28 +80,28 @@ type Deployment struct {
 // Validate checks the deployment parameters.
 func (d Deployment) Validate() error {
 	if d.N <= 0 {
-		return fmt.Errorf("network: node count must be positive, got %d", d.N)
+		return fmt.Errorf("network: N (node count) must be positive, got %d", d.N)
 	}
 	if !(d.Side > 0) || math.IsInf(d.Side, 0) {
-		return fmt.Errorf("network: cube side must be positive and finite, got %v", d.Side)
+		return fmt.Errorf("network: Side (cube edge) must be positive and finite, got %v", d.Side)
 	}
 	if d.InitialEnergy <= 0 {
-		return fmt.Errorf("network: initial energy must be positive, got %v", d.InitialEnergy)
+		return fmt.Errorf("network: InitialEnergy must be positive, got %v", d.InitialEnergy)
 	}
 	if d.AdvancedFraction < 0 || d.AdvancedFraction > 1 {
-		return fmt.Errorf("network: advanced fraction %v outside [0,1]", d.AdvancedFraction)
+		return fmt.Errorf("network: AdvancedFraction %v outside [0,1]", d.AdvancedFraction)
 	}
 	if d.AdvancedFraction > 0 && d.AdvancedFactor <= 0 {
-		return fmt.Errorf("network: advanced factor must be positive with advanced nodes, got %v", d.AdvancedFactor)
+		return fmt.Errorf("network: AdvancedFactor must be positive with advanced nodes, got %v", d.AdvancedFactor)
 	}
 	if d.SuperFraction < 0 || d.SuperFraction > 1 {
-		return fmt.Errorf("network: super fraction %v outside [0,1]", d.SuperFraction)
+		return fmt.Errorf("network: SuperFraction %v outside [0,1]", d.SuperFraction)
 	}
 	if d.SuperFraction > 0 && d.SuperFactor <= 0 {
-		return fmt.Errorf("network: super factor must be positive with super nodes, got %v", d.SuperFactor)
+		return fmt.Errorf("network: SuperFactor must be positive with super nodes, got %v", d.SuperFactor)
 	}
 	if d.AdvancedFraction+d.SuperFraction > 1 {
-		return fmt.Errorf("network: advanced+super fractions %v exceed 1",
+		return fmt.Errorf("network: AdvancedFraction+SuperFraction %v exceeds 1",
 			d.AdvancedFraction+d.SuperFraction)
 	}
 	return nil

@@ -36,13 +36,16 @@ func MetricsFromContext(ctx context.Context) *Registry {
 	return r
 }
 
-// ContextWithTrace attaches a span recorder for the current job.
-func ContextWithTrace(ctx context.Context, t *TraceRecorder) context.Context {
+// ContextWithTrace attaches the span store deeply nested code (the
+// experiment executor inside a service worker) records into, under the
+// span context SpanFromContext returns.
+func ContextWithTrace(ctx context.Context, t *TraceStore) context.Context {
 	return context.WithValue(ctx, ctxKeyTrace, t)
 }
 
-// TraceFromContext returns the recorder, or nil (tracing off).
-func TraceFromContext(ctx context.Context) *TraceRecorder {
-	t, _ := ctx.Value(ctxKeyTrace).(*TraceRecorder)
+// TraceFromContext returns the span store, or nil (tracing off; a nil
+// store records nothing).
+func TraceFromContext(ctx context.Context) *TraceStore {
+	t, _ := ctx.Value(ctxKeyTrace).(*TraceStore)
 	return t
 }

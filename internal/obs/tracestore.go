@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -26,53 +25,43 @@ type SpanRecord struct {
 	Args     map[string]any `json:"args,omitempty"`
 }
 
-// Default TraceStore bounds: traces are evicted FIFO past MaxStoreTraces
-// and each trace keeps at most MaxStoreSpans records.
-const (
-	DefaultStoreTraces = 256
-	DefaultStoreSpans  = 4096
-)
+// MaxTraceSpans bounds the records one trace keeps on one daemon, so a
+// million-round lifespan run cannot exhaust memory; past it further
+// records are counted, and Spans reports the count.
+const MaxTraceSpans = 20000
 
-// TraceStore holds the spans this instance recorded, grouped by trace
-// ID, bounded in both directions (trace count FIFO, spans per trace).
-// It is the per-daemon half of cross-peer tracing: every peer keeps its
-// own store, and whoever serves the merged view fans out to collect.
+// TraceStore is the one span store: every span and instant this process
+// records — submissions, queue waits, job and per-round spans, cells,
+// steals, cache hops — grouped by trace ID. Traces age out FIFO past
+// the store's cap (held traces excepted; see Hold) and each keeps at
+// most MaxTraceSpans records. Every qlecd peer keeps its own store, and
+// whoever serves a merged view fans out to collect.
 type TraceStore struct {
-	instance  string
-	mu        sync.Mutex
-	byTrace   map[string][]SpanRecord
-	order     []string
-	maxTraces int
-	maxSpans  int
-	dropped   uint64
+	instance string
+	traces   *FIFO[string, traceSpans]
 }
 
-// NewTraceStore returns a store labelling every span with instance.
-// maxTraces/maxSpans <= 0 use the defaults.
-func NewTraceStore(instance string, maxTraces, maxSpans int) *TraceStore {
-	if maxTraces <= 0 {
-		maxTraces = DefaultStoreTraces
-	}
-	if maxSpans <= 0 {
-		maxSpans = DefaultStoreSpans
-	}
-	return &TraceStore{
-		instance:  instance,
-		byTrace:   make(map[string][]SpanRecord),
-		maxTraces: maxTraces,
-		maxSpans:  maxSpans,
-	}
+// traceSpans is one trace's records plus the count dropped at the cap.
+type traceSpans struct {
+	spans   []SpanRecord
+	dropped int
+}
+
+// NewTraceStore returns a store labelling every span with instance and
+// keeping at most maxTraces unheld traces (min 1).
+func NewTraceStore(instance string, maxTraces int) *TraceStore {
+	return &TraceStore{instance: instance, traces: NewFIFO[string, traceSpans](maxTraces)}
 }
 
 // Span records a complete span under sc's trace. No-op on an invalid
 // context or nil store, so callers never need to guard.
 func (s *TraceStore) Span(sc SpanContext, name, cat string, start, end time.Time, args map[string]any) {
-	if s == nil || sc.TraceID == "" {
+	if s == nil || !sc.Valid() {
 		return
 	}
 	dur := end.Sub(start).Microseconds()
 	if dur < 1 {
-		dur = 1
+		dur = 1 // zero-duration spans render invisibly in trace viewers
 	}
 	s.add(SpanRecord{
 		TraceID: sc.TraceID, SpanID: sc.SpanID, Parent: sc.Parent,
@@ -83,7 +72,7 @@ func (s *TraceStore) Span(sc SpanContext, name, cat string, start, end time.Time
 
 // Instant records a point event under sc's trace at time now.
 func (s *TraceStore) Instant(sc SpanContext, name, cat string, args map[string]any) {
-	if s == nil || sc.TraceID == "" {
+	if s == nil || !sc.Valid() {
 		return
 	}
 	s.add(SpanRecord{
@@ -94,41 +83,70 @@ func (s *TraceStore) Instant(sc SpanContext, name, cat string, args map[string]a
 }
 
 func (s *TraceStore) add(r SpanRecord) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	spans, ok := s.byTrace[r.TraceID]
-	if !ok {
-		for len(s.order) >= s.maxTraces {
-			delete(s.byTrace, s.order[0])
-			s.order = s.order[1:]
+	s.traces.Update(r.TraceID, func(t *traceSpans) {
+		if len(t.spans) >= MaxTraceSpans {
+			t.dropped++
+			return
 		}
-		s.order = append(s.order, r.TraceID)
-	}
-	if len(spans) >= s.maxSpans {
-		s.dropped++
-		return
-	}
-	s.byTrace[r.TraceID] = append(spans, r)
+		t.spans = append(t.spans, r)
+	})
 }
 
-// Spans returns a copy of the records held for one trace.
+// Spans returns a copy of the records held for one trace. A trace that
+// hit MaxTraceSpans ends with an "events dropped (trace cap reached)"
+// instant carrying the drop count, so a cut-off trace never looks
+// complete.
 func (s *TraceStore) Spans(traceID string) []SpanRecord {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]SpanRecord(nil), s.byTrace[traceID]...)
+	t, ok := s.traces.Get(traceID)
+	if !ok {
+		return nil
+	}
+	// Records below len(t.spans) are never rewritten once appended, so
+	// copying them outside the store's lock is safe.
+	out := append(make([]SpanRecord, 0, len(t.spans)+1), t.spans...)
+	if t.dropped > 0 {
+		out = append(out, SpanRecord{
+			TraceID: traceID, Name: "events dropped (trace cap reached)", Cat: "meta",
+			Instance: s.instance, Phase: "i", StartUS: out[len(out)-1].StartUS,
+			Args: map[string]any{"dropped": t.dropped},
+		})
+	}
+	return out
 }
 
-// Traces returns the number of distinct traces currently held.
-func (s *TraceStore) Traces() int {
+// Len reports the number of traces held.
+func (s *TraceStore) Len() int {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.byTrace)
+	return s.traces.Len()
+}
+
+// Hold keeps traceID from being evicted until release is called — qlecd
+// holds a job's trace while the job runs, so cache-hit traffic cannot
+// age out the spans of work in flight.
+func (s *TraceStore) Hold(traceID string) (release func()) {
+	if s == nil || traceID == "" {
+		return func() {}
+	}
+	return s.traces.Hold(traceID)
+}
+
+// traceEvent is one entry in the Chrome trace_event format. ph "X" is a
+// complete span (ts+dur), "i" an instant, "M" metadata.
+type traceEvent struct {
+	Name  string         `json:"name"`
+	Cat   string         `json:"cat,omitempty"`
+	Phase string         `json:"ph"`
+	TS    int64          `json:"ts"`            // microseconds since trace start
+	Dur   int64          `json:"dur,omitempty"` // microseconds
+	PID   int            `json:"pid"`
+	TID   int            `json:"tid"`
+	Scope string         `json:"s,omitempty"` // instant scope
+	Args  map[string]any `json:"args,omitempty"`
 }
 
 // WriteChromeTrace merges span records — typically gathered from

@@ -21,7 +21,7 @@ type RunFunc func(ctx context.Context, req Request, publish func(Event)) (*Resul
 // auditCtxKey carries the per-job flight recorder from the worker to
 // Execute. A context key (rather than a Request field) keeps the
 // recorder out of the job's serialized, content-addressed form, the
-// same way the obs registry and trace recorder travel.
+// same way the obs registry and span store travel.
 type auditCtxKey struct{}
 
 func contextWithAudit(ctx context.Context, rec *audit.Recorder) context.Context {
@@ -39,14 +39,14 @@ func auditFromContext(ctx context.Context) *audit.Recorder {
 // Sweep kinds never reach it: the server decomposes them into cells
 // and drains those through the cell pool (DESIGN.md §14).
 //
-// When the context carries an obs registry/trace recorder (the qlecd
-// worker installs both), KindOne rounds additionally feed live
-// simulation gauges and per-round trace spans. Cells run with
-// observers stripped, so round-level gauges are a KindOne feature by
-// design — sweeps report at cell granularity (see sweepProgress).
+// When the context carries an obs registry (the qlecd worker installs
+// one), KindOne rounds additionally feed live simulation gauges and —
+// given a span store and a job span context — per-round spans parented
+// on the job span. Cells run with observers stripped, so round-level
+// gauges are a KindOne feature by design — sweeps report at cell
+// granularity (see sweepProgress).
 func Execute(ctx context.Context, req Request, publish func(Event)) (*ResultEnvelope, error) {
 	reg := obs.MetricsFromContext(ctx)
-	rec := obs.TraceFromContext(ctx)
 	cfg := req.Config
 	env := &ResultEnvelope{Kind: req.Kind}
 	switch req.Kind {
@@ -64,13 +64,17 @@ func Execute(ctx context.Context, req Request, publish func(Event)) (*ResultEnve
 		if reg != nil {
 			collector := obs.NewSimCollector(reg, string(req.Protocols[0]),
 				cfg.InitialEnergy*energy.Joules(cfg.N), cfg.K)
+			spans, jobSC := obs.TraceFromContext(ctx), obs.SpanFromContext(ctx)
+			traced := spans != nil && jobSC.Valid()
 			base := observer
 			prev := time.Now()
 			observer = func(snap sim.RoundSnapshot) {
 				now := time.Now()
 				collector.Observe(snap)
-				rec.Span(fmt.Sprintf("round %d", snap.Round), "sim", prev, now,
-					map[string]any{"alive": snap.Alive, "delivered": snap.Stats.Delivered})
+				if traced {
+					spans.Span(jobSC.Child(), fmt.Sprintf("round %d", snap.Round), "sim", prev, now,
+						map[string]any{"alive": snap.Alive, "delivered": snap.Stats.Delivered})
+				}
 				prev = now
 				base(snap)
 			}

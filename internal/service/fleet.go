@@ -84,8 +84,9 @@ type fleetRuntime struct {
 	fm       *obs.FleetMetrics
 	stealIdx uint64 // round-robin cursor over ready peers; guarded by mu
 
-	// spans holds the spans this daemon recorded into distributed
-	// traces; peers collect them via GET /v1/fleet/trace/{traceID}.
+	// spans is the daemon's one span store: submissions, jobs and
+	// their rounds, cells and every fleet hop, grouped by trace ID.
+	// Peers collect them via GET /v1/fleet/trace/{traceID}.
 	spans *obs.TraceStore
 
 	advisor       *fleet.Advisor
@@ -147,7 +148,7 @@ func newFleetRuntime(s *Server, opt FleetOptions) (*fleetRuntime, error) {
 		wake:         make(chan struct{}, opt.CellWorkers),
 		futures:      make(map[string]*cellFuture),
 		fm:           obs.NewFleetMetrics(s.reg),
-		spans:        obs.NewTraceStore(self, 0, 0),
+		spans:        obs.NewTraceStore(self, s.opt.TraceHistory),
 		advisor:      fleet.NewAdvisor(opt.Advisor),
 		advisorEvery: opt.AdvisorInterval,
 		scaleHook:    opt.ScaleHook,
@@ -788,7 +789,7 @@ func (r *fleetRuntime) runSweep(ctx context.Context, req Request, publish func(E
 	defer releaseAll()
 
 	done := 0
-	progress := sweepProgress(publish, obs.MetricsFromContext(ctx), obs.TraceFromContext(ctx))
+	progress := sweepProgress(ctx, publish)
 	// Cells inherit the sweep's trace: every executor (local or thief)
 	// parses this traceparent and records its spans under one trace ID.
 	sweepSC := obs.SpanFromContext(ctx)
@@ -837,9 +838,11 @@ func (r *fleetRuntime) runSweep(ctx context.Context, req Request, publish func(E
 }
 
 // sweepProgress reports a sweep job's cell progress: an EventSweep on
-// the job's stream, the qlec_sweep_cells_* gauges when reg is set, and
-// a job-trace instant.
-func sweepProgress(publish func(Event), reg *obs.Registry, rec *obs.TraceRecorder) func(done, total int) {
+// the job's stream, the qlec_sweep_cells_* gauges when ctx carries a
+// registry, and an instant under the job span when it carries a span
+// store and context.
+func sweepProgress(ctx context.Context, publish func(Event)) func(done, total int) {
+	reg, spans, jobSC := obs.MetricsFromContext(ctx), obs.TraceFromContext(ctx), obs.SpanFromContext(ctx)
 	var doneG, totalG *obs.Gauge
 	if reg != nil {
 		doneG = reg.Gauge("qlec_sweep_cells_done",
@@ -853,8 +856,10 @@ func sweepProgress(publish func(Event), reg *obs.Registry, rec *obs.TraceRecorde
 			doneG.Set(float64(done))
 			totalG.Set(float64(total))
 		}
-		rec.Instant(fmt.Sprintf("cell %d/%d", done, total), "sweep",
-			map[string]any{"done": done, "total": total})
+		if spans != nil && jobSC.Valid() {
+			spans.Instant(jobSC.Child(), fmt.Sprintf("cell %d/%d", done, total), "sweep",
+				map[string]any{"done": done, "total": total})
+		}
 	}
 }
 

@@ -314,23 +314,15 @@ func TestStoreRejectsUnsafeNames(t *testing.T) {
 	}
 }
 
-func TestHistoryFIFOEviction(t *testing.T) {
-	h := newHistory[*int](2)
-	one, two, three := 1, 2, 3
-	h.put("a", &one)
-	h.put("b", &two)
-	h.put("a", &three) // replacing keeps a's place in the FIFO
-	if h.len() != 2 || *h.get("a") != 3 {
-		t.Fatalf("after replace: len %d, a = %v", h.len(), h.get("a"))
+// TestHistoryCapsDefault: unset retention caps fall back to the
+// documented defaults (eviction itself is obs.FIFO's, tested there).
+func TestHistoryCapsDefault(t *testing.T) {
+	s, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	h.put("c", &one)
-	if h.get("a") != nil {
-		t.Error("oldest entry survived past the cap")
-	}
-	if h.len() != 2 || h.get("b") == nil || h.get("c") == nil {
-		t.Errorf("after eviction: len %d, b %v, c %v; want the two newest", h.len(), h.get("b"), h.get("c"))
-	}
-	if newHistory[string](0).max != defaultHistory {
-		t.Error("non-positive cap does not fall back to the default")
+	defer s.Close()
+	if s.opt.TraceHistory != 64 || s.opt.AuditHistory != 64 || s.opt.ProfileHistory != 32 {
+		t.Errorf("caps = %d/%d/%d, want 64/64/32", s.opt.TraceHistory, s.opt.AuditHistory, s.opt.ProfileHistory)
 	}
 }

@@ -1,17 +1,14 @@
 package service
 
 import (
-	"sync"
-
 	"qlec/internal/obs"
 	"qlec/internal/prof"
 )
 
 // serverMetrics holds qlecd's operational instruments. Scrape-time
 // state (queue depth, job-table counts, cache counters) is exported via
-// callback collectors reading the server's existing atomics, so the
-// Prometheus view and the legacy /metrics.json snapshot can never
-// disagree.
+// callback collectors reading the server's own state, so /metrics is
+// never a copy that can drift from it — and the only metrics surface.
 type serverMetrics struct {
 	queueWait   *obs.Histogram    // seconds from submit to first execution start
 	jobDuration *obs.HistogramVec // {kind, state} execution wall time
@@ -75,10 +72,10 @@ func newServerMetrics(r *obs.Registry, s *Server) *serverMetrics {
 		func() float64 { _, m := s.cache.stats(); return float64(m) })
 	r.CounterFunc("qlecd_simulations_total", "Simulations actually executed (cache hits excluded).",
 		func() float64 { return float64(s.simsRun.Load()) })
-	r.GaugeFunc("qlecd_traces_held", "Per-job trace recorders currently retained (FIFO-capped by -trace-history).",
-		func() float64 { return float64(s.traces.len()) })
+	r.GaugeFunc("qlecd_traces_held", "Traces currently retained in the span store (FIFO-capped by -trace-history; running jobs' traces ride above the cap).",
+		func() float64 { return float64(s.fleet.spans.Len()) })
 	r.GaugeFunc("qlecd_audits_held", "Per-job audit artifacts currently retained (FIFO-capped by -audit-history).",
-		func() float64 { return float64(s.audits.len()) })
+		func() float64 { return float64(s.audits.Len()) })
 	for _, st := range []JobState{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled} {
 		st := st
 		r.GaugeFunc("qlecd_jobs", "Jobs in the table, by lifecycle state.",
@@ -148,11 +145,6 @@ func newFleetCollectors(r *obs.Registry, s *Server) {
 		func() float64 { return float64(s.fleet.advisor.Current().Delta) })
 }
 
-// defaultHistory is the default FIFO cap on retained per-job trace
-// recorders and audit artifacts; Options.TraceHistory/AuditHistory
-// raise or lower it per deployment.
-const defaultHistory = 64
-
 // serviceAuditEntries/serviceAuditDecisions size the per-job recorder
 // rings below the package defaults: every retained artifact can be
 // resident at once, so each is kept to a few megabytes. The summary
@@ -161,46 +153,3 @@ const (
 	serviceAuditEntries   = 1 << 14
 	serviceAuditDecisions = 1 << 12
 )
-
-// history is a bounded per-job store: once it holds max entries, the
-// oldest ages out FIFO. It backs GET /v1/jobs/{id}/trace (trace
-// recorders) and GET /v1/jobs/{id}/audit (audit artifacts).
-type history[T any] struct {
-	mu    sync.Mutex
-	byJob map[string]T
-	order []string
-	max   int
-}
-
-func newHistory[T any](max int) *history[T] {
-	if max <= 0 {
-		max = defaultHistory
-	}
-	return &history[T]{byJob: make(map[string]T), max: max}
-}
-
-func (h *history[T]) put(id string, v T) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if _, ok := h.byJob[id]; !ok {
-		h.order = append(h.order, id)
-	}
-	h.byJob[id] = v
-	for len(h.order) > h.max {
-		delete(h.byJob, h.order[0])
-		h.order = h.order[1:]
-	}
-}
-
-// get returns the entry for id, or T's zero value once it aged out.
-func (h *history[T]) get(id string) T {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.byJob[id]
-}
-
-func (h *history[T]) len() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.byJob)
-}

@@ -21,6 +21,23 @@ import (
 	"qlec/internal/service/client"
 )
 
+// metricSum scrapes base's /metrics and sums every sample of one
+// family — 0 when the family is absent.
+func metricSum(t *testing.T, base, name string) float64 {
+	t.Helper()
+	exp, err := obs.ParseExposition(bytes.NewReader(httpGet(t, base+"/metrics")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := 0.0
+	if f := exp.Family(name); f != nil {
+		for _, smp := range f.Samples {
+			sum += smp.Value
+		}
+	}
+	return sum
+}
+
 // httpGet fetches a URL raw — for the endpoints the typed client does
 // not wrap (fleet-internal trace exchange, federation, merged traces).
 func httpGet(t *testing.T, url string) []byte {

@@ -3,7 +3,7 @@ package service_test
 // Observability end-to-end tests: Prometheus scrapes against a live
 // server (including mid-job, asserting round-level sim gauges appear),
 // exposition linting, Chrome-trace download, request-ID correlation,
-// and the /version and /metrics.json endpoints.
+// and the /version endpoint.
 
 import (
 	"context"
@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -82,7 +83,7 @@ func TestMetricsScrapeDuringRunningJob(t *testing.T) {
 			MeanQ: 0.3, Epsilon: 0.1, HasQ: true,
 		}
 		collector.Observe(snap)
-		obs.TraceFromContext(ctx).Instant("stub round", "sim", nil)
+		obs.TraceFromContext(ctx).Instant(obs.SpanFromContext(ctx).Child(), "stub round", "sim", nil)
 		close(running)
 		select {
 		case <-release:
@@ -206,6 +207,52 @@ func TestTraceEndpointRealJob(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("trace for unknown job = %d, want 404", resp.StatusCode)
 		}
+	}
+}
+
+// TestTraceRoundSpansParentedOnJob: a real run's round spans record in
+// the daemon's one span store under the job's trace, as children of
+// the job span — so the merged trace nests them without a re-export.
+func TestTraceRoundSpansParentedOnJob(t *testing.T) {
+	_, cl, base := newObsTestServer(t, service.Options{Workers: 1})
+	ctx := context.Background()
+	j, err := cl.Submit(ctx, oneRequest(tinyCfg()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done, err := cl.Wait(ctx, j.ID, time.Millisecond); err != nil || done.State != service.StateDone {
+		t.Fatalf("job %s: %+v, %v", j.ID, done, err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(httpGet(t, base+"/v1/jobs/"+j.ID+"/trace"), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var jobSpan string
+	for _, e := range doc.TraceEvents {
+		if e.Name == "job "+j.ID {
+			jobSpan, _ = e.Args["span"].(string)
+		}
+	}
+	if jobSpan == "" {
+		t.Fatal("trace has no job span with a span ID")
+	}
+	rounds := 0
+	for _, e := range doc.TraceEvents {
+		if !strings.HasPrefix(e.Name, "round ") {
+			continue
+		}
+		rounds++
+		if e.Args["trace"] != j.TraceID || e.Args["parentSpan"] != jobSpan {
+			t.Errorf("%s args = %v, want trace %s and parentSpan %s", e.Name, e.Args, j.TraceID, jobSpan)
+		}
+	}
+	if rounds != tinyCfg().Rounds {
+		t.Errorf("trace has %d round spans, want %d", rounds, tinyCfg().Rounds)
 	}
 }
 
@@ -353,7 +400,7 @@ func TestRequestIDCorrelation(t *testing.T) {
 }
 
 func TestVersionAndMetricsJSON(t *testing.T) {
-	_, cl, base := newObsTestServer(t, service.Options{Workers: 1})
+	_, _, base := newObsTestServer(t, service.Options{Workers: 1})
 
 	resp, err := http.Get(base + "/version")
 	if err != nil {
@@ -368,20 +415,16 @@ func TestVersionAndMetricsJSON(t *testing.T) {
 		t.Error("/version goVersion empty")
 	}
 
-	// The legacy JSON snapshot lives on at /metrics.json, and the typed
-	// client follows it.
-	m, err := cl.Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Workers != 1 {
-		t.Errorf("metrics.json workers = %d, want 1", m.Workers)
+	// /metrics is the one metrics surface: what the former JSON
+	// snapshot reported is a Prometheus series.
+	if w := metricSum(t, base, "qlecd_workers"); w != 1 {
+		t.Errorf("qlecd_workers = %g, want 1", w)
 	}
 }
 
 // TestHistoryCapsEvictFIFO: with TraceHistory/AuditHistory at 2, the
-// third executed job ages the first one's recorder and artifact out,
-// and the *_held gauges report the caps.
+// third executed job ages the first one's trace and artifact out, and
+// the *_held gauges report the caps.
 func TestHistoryCapsEvictFIFO(t *testing.T) {
 	_, cl, base := newObsTestServer(t, service.Options{Workers: 1, TraceHistory: 2, AuditHistory: 2})
 	ctx := context.Background()
@@ -421,15 +464,60 @@ func TestHistoryCapsEvictFIFO(t *testing.T) {
 			t.Errorf("audit of retained job %s = %d, want 200", id, got)
 		}
 	}
-	// The job span lives in the per-job recorder; fleet-store spans
-	// (queue wait, submit) outlive it, so look for the span itself.
-	hasJobSpan := func(id string) bool {
-		return strings.Contains(string(httpGet(t, base+"/v1/jobs/"+id+"/trace")), `"job `+id+`"`)
+	// One store holds every span of a trace, so eviction takes the whole
+	// trace: the evicted job's answers 404, the newest's has its job span.
+	if got := status("/v1/jobs/" + ids[0] + "/trace"); got != http.StatusNotFound {
+		t.Errorf("trace of the evicted job = %d, want 404", got)
 	}
-	if hasJobSpan(ids[0]) {
-		t.Error("evicted job's trace recorder still served")
+	if !strings.Contains(string(httpGet(t, base+"/v1/jobs/"+ids[2]+"/trace")), `"job `+ids[2]+`"`) {
+		t.Error("newest job's trace has no job span")
 	}
-	if !hasJobSpan(ids[2]) {
-		t.Error("newest job's trace recorder missing")
+}
+
+// TestRunningJobTraceSurvivesEviction: a running job's trace is held in
+// the span store, so submissions that overflow a one-trace cap while it
+// runs cannot evict it — its queue-wait span, recorded before it
+// started, is still served next to its job span afterwards.
+func TestRunningJobTraceSurvivesEviction(t *testing.T) {
+	running := make(chan struct{})
+	release := make(chan struct{})
+	var first sync.Once
+	run := func(ctx context.Context, req service.Request, publish func(service.Event)) (*service.ResultEnvelope, error) {
+		first.Do(func() { close(running) })
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return &service.ResultEnvelope{Kind: req.Kind}, nil
+	}
+	_, cl, base := newObsTestServer(t, service.Options{Workers: 1, TraceHistory: 1, Run: run})
+	ctx := context.Background()
+	j, err := cl.Submit(ctx, oneRequest(tinyCfg()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-running
+	// Three more traces while j runs; cancelling them while queued keeps
+	// the worker free for j alone.
+	for rounds := 3; rounds <= 5; rounds++ {
+		cfg := tinyCfg()
+		cfg.Rounds = rounds
+		other, err := cl.Submit(ctx, oneRequest(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Cancel(ctx, other.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(release)
+	if done, err := cl.Wait(ctx, j.ID, time.Millisecond); err != nil || done.State != service.StateDone {
+		t.Fatalf("job %s: %+v, %v", j.ID, done, err)
+	}
+	trace := string(httpGet(t, base+"/v1/jobs/"+j.ID+"/trace"))
+	for _, span := range []string{`"queue wait"`, `"job ` + j.ID + `"`} {
+		if !strings.Contains(trace, span) {
+			t.Errorf("running job's trace lost its %s span", span)
+		}
 	}
 }

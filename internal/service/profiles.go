@@ -53,7 +53,7 @@ func (s *Server) handleProfileCapture(w http.ResponseWriter, r *http.Request) {
 	}
 	art.Instance = s.fleet.self
 	art = s.profiles.Add(art)
-	resp := profileCaptureResponse{Profiles: []prof.Artifact{artifactMeta(art)}}
+	resp := profileCaptureResponse{Profiles: []prof.Artifact{art.Meta()}}
 
 	if body.Fleet {
 		req := fleet.ProfileCaptureRequest{Kind: body.Kind, Seconds: body.Seconds}
@@ -131,7 +131,7 @@ func (s *Server) handleProfileGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Query().Get("meta") != "" {
-		writeJSON(w, http.StatusOK, artifactMeta(art))
+		writeJSON(w, http.StatusOK, art.Meta())
 		return
 	}
 	ct := "text/plain; charset=utf-8"
@@ -147,13 +147,6 @@ func (s *Server) handleProfileGet(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(art.Data)
-}
-
-// artifactMeta strips the payload for JSON responses.
-func artifactMeta(a *prof.Artifact) prof.Artifact {
-	m := *a
-	m.Data = nil
-	return m
 }
 
 // runtimeTrend is the GET /v1/runtime response: the sampler's retained

@@ -43,10 +43,11 @@ type Options struct {
 	Metrics *obs.Registry
 	// Pprof mounts net/http/pprof under /debug/pprof/ when true.
 	Pprof bool
-	// TraceHistory bounds retained per-job trace recorders (FIFO
-	// eviction); default 64.
+	// TraceHistory caps the traces the span store keeps (FIFO
+	// eviction; a running job's trace is never evicted); default 64.
 	TraceHistory int
-	// AuditHistory bounds retained per-job audit artifacts; default 64.
+	// AuditHistory bounds retained per-job audit artifacts (FIFO
+	// eviction); default 64.
 	AuditHistory int
 	// ProfileHistory bounds retained profile artifacts (FIFO eviction);
 	// default 32.
@@ -86,7 +87,6 @@ type Server struct {
 
 	fleet *fleetRuntime
 
-	start    time.Time
 	simsRun  atomic.Int64
 	draining atomic.Bool
 
@@ -94,8 +94,7 @@ type Server struct {
 	reg    *obs.Registry
 	om     *serverMetrics
 	httpm  *obs.HTTPMetrics
-	traces *history[*obs.TraceRecorder]
-	audits *history[*audit.Artifact]
+	audits *obs.FIFO[string, *audit.Artifact]
 
 	sampler  *prof.Sampler
 	profiles *prof.Store
@@ -130,6 +129,15 @@ func New(opt Options) (*Server, error) {
 	if opt.Metrics == nil {
 		opt.Metrics = obs.NewRegistry()
 	}
+	if opt.TraceHistory <= 0 {
+		opt.TraceHistory = 64
+	}
+	if opt.AuditHistory <= 0 {
+		opt.AuditHistory = 64
+	}
+	if opt.ProfileHistory <= 0 {
+		opt.ProfileHistory = 32
+	}
 	s := &Server{
 		opt:         opt,
 		queue:       newJobQueue(),
@@ -141,18 +149,12 @@ func New(opt Options) (*Server, error) {
 		batches:     make(map[string]*Batch),
 		batchHubs:   make(map[string]*eventHub),
 		nextBatchID: 1,
-		start:       time.Now(),
 		log:         opt.Logger,
 		reg:         opt.Metrics,
-		traces:      newHistory[*obs.TraceRecorder](opt.TraceHistory),
-		audits:      newHistory[*audit.Artifact](opt.AuditHistory),
+		audits:      obs.NewFIFO[string, *audit.Artifact](opt.AuditHistory),
 	}
 	s.hardCtx, s.hardCancel = context.WithCancel(context.Background())
-	profMax := opt.ProfileHistory
-	if profMax <= 0 {
-		profMax = 32
-	}
-	s.profiles = prof.NewStore(profMax, s.reg)
+	s.profiles = prof.NewStore(opt.ProfileHistory, s.reg)
 	s.sampler = prof.NewSampler(s.reg, prof.SamplerOptions{Interval: opt.RuntimeSampleInterval})
 	if opt.AutoProfileMinGap >= 0 {
 		s.autoProf = prof.NewAutoCapturer(s.hardCtx, s.profiles, s.reg, opt.AutoProfileMinGap)
@@ -273,7 +275,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.Handle("GET /metrics", s.reg)
 	mux.HandleFunc("GET /metrics/federate", s.handleFederate)
-	mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
 	mux.HandleFunc("GET /version", s.handleVersion)
 	if s.opt.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -610,12 +611,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, body)
 }
 
-// handleTrace implements GET /v1/jobs/{id}/trace: the job's span
-// recording as Chrome trace_event JSON (load in chrome://tracing or
-// Perfetto). The view is fleet-merged: the local recorder's spans plus
-// every span any peer recorded under the job's trace ID, one lane per
-// daemon. Traces exist for executed jobs only (not cache hits) and age
-// out FIFO after Options.TraceHistory jobs.
+// handleTrace implements GET /v1/jobs/{id}/trace: the job's spans as
+// Chrome trace_event JSON (load in chrome://tracing or Perfetto). The
+// view is fleet-merged: every span any daemon recorded under the job's
+// trace ID — submit, queue wait, the job span with its per-round or
+// per-cell children, steals and cache hops — one lane per daemon.
+// Traces age out FIFO past Options.TraceHistory, never while the job
+// runs.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
@@ -629,16 +631,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
-	rec := s.traces.get(id)
 	var spans []obs.SpanRecord
-	if rec != nil {
-		spans = rec.Export(traceID, s.fleet.self)
-	}
 	if traceID != "" {
-		spans = append(spans, s.collectFleetSpans(traceID)...)
+		spans = s.collectFleetSpans(traceID)
 	}
 	if len(spans) == 0 {
-		writeErr(w, http.StatusNotFound, "no trace for job %q (not executed yet, or aged out)", id)
+		writeErr(w, http.StatusNotFound, "no trace for job %q (pre-trace record, or aged out)", id)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -694,9 +692,9 @@ func (s *Server) collectFleetSpans(traceID string) []obs.SpanRecord {
 
 // handleAudit implements GET /v1/jobs/{id}/audit: the flight-recorder
 // artifact of an executed KindOne job (energy ledger, decision records,
-// conservation report — cmd/qlecaudit consumes it). Like traces,
-// artifacts exist for executed jobs only (not cache hits or sweeps) and
-// age out FIFO after maxAudits jobs.
+// conservation report — cmd/qlecaudit consumes it). Artifacts exist
+// for executed jobs only (not cache hits or sweeps) and age out FIFO
+// after Options.AuditHistory jobs.
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
@@ -706,8 +704,8 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
-	art := s.audits.get(id)
-	if art == nil {
+	art, ok := s.audits.Get(id)
+	if !ok {
 		writeErr(w, http.StatusNotFound, "no audit for job %q (not an executed single run, or aged out)", id)
 		return
 	}
@@ -716,61 +714,6 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, obs.Version())
-}
-
-// Metrics snapshots the operational counters (served at /metrics.json;
-// /metrics is the Prometheus exposition).
-func (s *Server) Metrics() Metrics {
-	hits, misses := s.cache.stats()
-	m := Metrics{
-		UptimeSeconds:  time.Since(s.start).Seconds(),
-		Workers:        s.opt.Workers,
-		QueueDepth:     s.queue.depth(),
-		Jobs:           make(map[JobState]int),
-		CacheHits:      hits,
-		CacheMisses:    misses,
-		SimulationsRun: s.simsRun.Load(),
-		Draining:       s.draining.Load(),
-	}
-	if total := hits + misses; total > 0 {
-		m.CacheHitRate = float64(hits) / float64(total)
-	}
-	s.mu.Lock()
-	for _, j := range s.jobs {
-		m.Jobs[j.State]++
-	}
-	if len(s.batches) > 0 {
-		m.Batches = make(map[JobState]int)
-		for _, b := range s.batches {
-			m.Batches[b.State]++
-		}
-	}
-	s.mu.Unlock()
-	fr := s.fleet
-	pending, leased, expired := fr.table.Stats()
-	peers := fr.members.Peers()
-	ready := 0
-	for _, p := range peers {
-		if p.Ready {
-			ready++
-		}
-	}
-	m.Fleet = &FleetSnapshot{
-		Self:          fr.self,
-		PeersReady:    ready,
-		PeersTotal:    len(peers),
-		CellsPending:  pending,
-		CellsLeased:   leased,
-		LeaseExpiries: expired,
-		CellsExecuted: int64(fr.fm.CellsExecuted.With("local").Value() + fr.fm.CellsExecuted.With("stolen").Value()),
-		CellsStolen:   int64(fr.fm.CellsStolenIn.Value()),
-		ProxyHits:     int64(fr.fm.ProxyHitsFetched.Value()),
-	}
-	return m
-}
-
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Metrics())
 }
 
 // Drain gracefully shuts the pool down: new submissions get 503,

@@ -133,13 +133,11 @@ func TestEndToEndCacheFlow(t *testing.T) {
 		t.Fatalf("result envelope = %+v, want a %d-round single-run payload", env, req.Config.Rounds)
 	}
 
-	m, err := cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.SimulationsRun != 1 || m.CacheMisses != 1 || m.CacheHits != 0 {
-		t.Fatalf("after first run: sims=%d misses=%d hits=%d, want 1/1/0",
-			m.SimulationsRun, m.CacheMisses, m.CacheHits)
+	base := cl.BaseURL()
+	sims, misses, hits := metricSum(t, base, "qlecd_simulations_total"),
+		metricSum(t, base, "qlecd_cache_misses_total"), metricSum(t, base, "qlecd_cache_hits_total")
+	if sims != 1 || misses != 1 || hits != 0 {
+		t.Fatalf("after first run: sims=%g misses=%g hits=%g, want 1/1/0", sims, misses, hits)
 	}
 
 	// Identical resubmission: immediately done, same hash, new job id,
@@ -157,15 +155,11 @@ func TestEndToEndCacheFlow(t *testing.T) {
 	if j2.ID == j1.ID {
 		t.Fatal("resubmission reused the job id")
 	}
-	m, err = cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
+	if sims := metricSum(t, base, "qlecd_simulations_total"); sims != 1 {
+		t.Fatalf("resubmission re-simulated: qlecd_simulations_total = %g", sims)
 	}
-	if m.SimulationsRun != 1 {
-		t.Fatalf("resubmission re-simulated: simulationsRun = %d", m.SimulationsRun)
-	}
-	if m.CacheHits != 1 {
-		t.Fatalf("cacheHits = %d, want 1", m.CacheHits)
+	if hits := metricSum(t, base, "qlecd_cache_hits_total"); hits != 1 {
+		t.Fatalf("qlecd_cache_hits_total = %g, want 1", hits)
 	}
 
 	// A cache-hit job never had a live stream; its events endpoint still
@@ -360,12 +354,8 @@ func TestTransientRetry(t *testing.T) {
 	if got := calls.Load(); got != 2 {
 		t.Fatalf("run function called %d times, want 2", got)
 	}
-	m, err := cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.SimulationsRun != 1 {
-		t.Fatalf("simulationsRun = %d, want 1 (failed attempts don't count)", m.SimulationsRun)
+	if sims := metricSum(t, cl.BaseURL(), "qlecd_simulations_total"); sims != 1 {
+		t.Fatalf("qlecd_simulations_total = %g, want 1 (failed attempts don't count)", sims)
 	}
 }
 
@@ -517,6 +507,24 @@ func TestHTTPValidationAndNotFound(t *testing.T) {
 	_, err = cl.Submit(ctx, bad)
 	wantStatus(err, http.StatusBadRequest, "invalid config")
 
+	// Deployments the daemon could not build are refused at admission,
+	// naming the field, not accepted and failed when the job runs.
+	for _, tc := range []struct {
+		field string
+		mut   func(*experiment.Config)
+	}{
+		{"AdvancedFraction", func(c *experiment.Config) { c.AdvancedFraction, c.AdvancedFactor = 1.5, 1 }},
+		{"SuperFactor", func(c *experiment.Config) { c.SuperFraction, c.SuperFactor = 0.2, -1 }},
+	} {
+		bad = oneRequest(tinyCfg())
+		tc.mut(&bad.Config)
+		_, err = cl.Submit(ctx, bad)
+		wantStatus(err, http.StatusBadRequest, "invalid "+tc.field)
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("invalid %s refused without naming it: %v", tc.field, err)
+		}
+	}
+
 	_, err = cl.Job(ctx, "j99999999")
 	wantStatus(err, http.StatusNotFound, "unknown job")
 	_, err = cl.Cancel(ctx, "j99999999")
@@ -591,12 +599,9 @@ func TestRestartServesCachedResults(t *testing.T) {
 	if err != nil || env.One == nil {
 		t.Fatalf("result after restart: %+v, %v", env, err)
 	}
-	m, err := cl2.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.CacheHits != 1 || m.SimulationsRun != 0 {
-		t.Fatalf("post-restart metrics: hits=%d sims=%d, want 1/0", m.CacheHits, m.SimulationsRun)
+	hits, sims := metricSum(t, cl2.BaseURL(), "qlecd_cache_hits_total"), metricSum(t, cl2.BaseURL(), "qlecd_simulations_total")
+	if hits != 1 || sims != 0 {
+		t.Fatalf("post-restart metrics: hits=%g sims=%g, want 1/0", hits, sims)
 	}
 }
 
@@ -687,12 +692,8 @@ func TestInflightCoalescing(t *testing.T) {
 	if j2.ID != j1.ID {
 		t.Fatalf("duplicate submission created job %s, want coalescing onto %s", j2.ID, j1.ID)
 	}
-	m, err := cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.CacheHits != 1 {
-		t.Fatalf("coalesced submission not counted as a hit: %d", m.CacheHits)
+	if hits := metricSum(t, cl.BaseURL(), "qlecd_cache_hits_total"); hits != 1 {
+		t.Fatalf("coalesced submission not counted as a hit: %g", hits)
 	}
 	close(release)
 	if _, err := cl.Wait(ctx, j1.ID, 5*time.Millisecond); err != nil {

@@ -75,10 +75,13 @@ func (s *Server) runJob(id string) {
 	}
 	// jobSC anchors every span this job produces — locally and on any
 	// peer that steals its cells — to the trace ID minted at submission.
+	// Its trace stays in the span store for as long as the job runs, so
+	// cache-hit traffic cannot age out the spans of work in flight.
 	var jobSC obs.SpanContext
 	if j.TraceID != "" {
 		jobSC = obs.SpanContext{TraceID: j.TraceID, SpanID: obs.NewSpanID()}
 	}
+	defer s.fleet.spans.Hold(j.TraceID)()
 	if j.Attempts == 0 {
 		// First execution attempt: the submit→dequeue gap is the queue
 		// wait (retries would double-count their failed run time).
@@ -102,11 +105,9 @@ func (s *Server) runJob(id string) {
 	s.mu.Unlock()
 
 	log := s.log.With("job", id, "kind", string(req.Kind), "requestId", rid)
-	rec := obs.NewTraceRecorder(0)
-	s.traces.put(id, rec)
 	ctx = obs.ContextWithRequestID(ctx, rid)
 	ctx = obs.ContextWithMetrics(ctx, s.reg)
-	ctx = obs.ContextWithTrace(ctx, rec)
+	ctx = obs.ContextWithTrace(ctx, s.fleet.spans)
 	if jobSC.Valid() {
 		ctx = obs.ContextWithSpan(ctx, jobSC)
 	}
@@ -157,7 +158,7 @@ func (s *Server) runJob(id string) {
 		// Rounds == 0 means the RunFunc never drove the recorder (stub
 		// runners in tests): nothing worth serving.
 		if art := arec.Artifact(); art.Report.Rounds > 0 {
-			s.audits.put(id, art)
+			s.audits.Put(id, art)
 			var anomalies uint64
 			for _, n := range art.Report.AnomalyCounts {
 				anomalies += n
@@ -247,7 +248,7 @@ func (s *Server) runJob(id string) {
 		s.fleet.replicateToOwner(repCtx, hash, env)
 	}
 
-	rec.Span("job "+id, "job", runStart, runStart.Add(elapsed),
+	s.fleet.spans.Span(jobSC, "job "+id, "job", runStart, runStart.Add(elapsed),
 		map[string]any{"kind": string(req.Kind), "state": string(state), "requestId": rid})
 	if state.Terminal() {
 		s.om.jobsTotal.With(string(state)).Inc()
