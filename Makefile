@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-service serve bench bench-json bench-check figs examples obs-demo audit-demo tournament-demo fleet-e2e ci clean
+.PHONY: all build test race race-service serve bench bench-json bench-check figs figs-check examples obs-demo audit-demo tournament-demo fleet-e2e ci clean
 
 all: build test
 
@@ -35,8 +35,9 @@ serve:
 # parallel runner under -race to shake out orchestration races that the
 # unit tests' stub protocols cannot reach, and the perfbench module's
 # tests — it is a module of its own (root `go test ./...` skips it) that
-# compiles against service.Options and FleetOptions.
-ci: build test race race-service
+# compiles against service.Options and FleetOptions. figs-check pins the
+# committed Figure 3 CSVs to what the simulator produces today.
+ci: build test race race-service figs-check
 	$(GO) test -race -run 'TestSweepsParallelMatchSerial|TestMap' ./internal/experiment ./internal/runner
 	$(GO) run -race ./cmd/qlecfig -fig ksweep -quick -workers 0 >/dev/null
 	cd perfbench && $(GO) test ./...
@@ -85,6 +86,16 @@ figs:
 	$(GO) run ./cmd/qlecfig -fig 3a -k 11 | tee figs/fig3_k11.txt
 	$(GO) run ./cmd/qlecfig -fig 4 -out figs | tee figs/fig4.txt
 	$(GO) run ./cmd/qlecfig -fig ablation | tee figs/ablation.txt
+
+# Regenerate the Figure 3 CSVs into a scratch directory and require
+# them byte-identical to the committed figs/ copies: any change to the
+# simulator's results shows up here as a cmp failure (a few seconds).
+FIGS_CHECK = fig3a.csv fig3b.csv fig3c.csv figlatency.csv
+figs-check:
+	@set -e; OUT=$$(mktemp -d); trap 'rm -rf $$OUT' EXIT; \
+	$(GO) run ./cmd/qlecfig -fig 3 -out $$OUT >/dev/null; \
+	for F in $(FIGS_CHECK); do cmp $$OUT/$$F figs/$$F; done; \
+	echo "figs-check: $(FIGS_CHECK) match figs/ byte for byte"
 
 # Observability demo: boot qlecd with Prometheus metrics and pprof
 # enabled, submit a quick Figure-3 sweep plus a single QLEC run against

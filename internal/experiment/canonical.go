@@ -24,9 +24,10 @@ import (
 // round-trip formatting (strconv 'g'), which is deterministic across
 // platforms.
 //
-// Deliberately excluded: Tracer, Observer, Progress (observation hooks;
-// no effect on results) and Workers (scheduling knob; results are
-// schedule-independent by runner.Map's determinism contract).
+// Deliberately excluded: Tracer, Observer, Audit, Progress (observation
+// hooks; no effect on results) and Workers (scheduling knob; results
+// are schedule-independent by runner.Map's determinism contract).
+// TestCanonicalMirrorsCoverConfig fails on any other unmirrored field.
 
 // canonicalSim mirrors sim.Config field-for-field in frozen order.
 type canonicalSim struct {

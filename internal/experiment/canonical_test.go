@@ -1,11 +1,14 @@
 package experiment
 
 import (
+	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
 	"qlec/internal/dataset"
+	"qlec/internal/energy"
 	"qlec/internal/sim"
 )
 
@@ -177,4 +180,94 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	if back.Workers != 3 {
 		t.Fatalf("Workers lost in round trip: %d", back.Workers)
 	}
+}
+
+// TestCanonicalMirrorsCoverConfig: every exported field of the hashed
+// configuration structs must have a same-named field in its canonical
+// mirror, or be on the exclusion list of fields that cannot change a
+// result. A new result-changing field that is not mirrored would let two
+// requests with different outcomes share a cache key. Unexported fields
+// are skipped: they cannot arrive through a JSON request.
+func TestCanonicalMirrorsCoverConfig(t *testing.T) {
+	excluded := map[string]bool{
+		"Tracer": true, "Observer": true, "Audit": true, "Workers": true, "Progress": true,
+	}
+	pairs := []struct {
+		src, mirror reflect.Type
+	}{
+		{reflect.TypeOf(Config{}), reflect.TypeOf(canonicalConfig{})},
+		{reflect.TypeOf(sim.Config{}), reflect.TypeOf(canonicalSim{})},
+		{reflect.TypeOf(energy.Model{}), reflect.TypeOf(canonicalModel{})},
+	}
+	for _, p := range pairs {
+		for i := 0; i < p.src.NumField(); i++ {
+			f := p.src.Field(i)
+			if !f.IsExported() || excluded[f.Name] {
+				continue
+			}
+			if _, ok := p.mirror.FieldByName(f.Name); !ok {
+				t.Errorf("%s.%s has no field in %s and is not excluded from the hash",
+					p.src, f.Name, p.mirror)
+			}
+		}
+	}
+}
+
+// TestRetiredSimKeyCannotSplitACacheKey: a request that still carries
+// the retired "ClusterWorkers" key in its Sim block decodes leniently
+// (the key is ignored), hashes like the same request without it, and
+// simulates exactly the same result — so a cache entry under that hash
+// is the result either request would have produced.
+func TestRetiredSimKeyCannotSplitACacheKey(t *testing.T) {
+	base := PaperConfig()
+	base.Lambdas = []float64{4}
+	base.Seeds = []uint64{1}
+	wire := withSimKey(t, base, "ClusterWorkers", "4")
+	var withKey Config
+	if err := json.Unmarshal(wire, &withKey); err != nil {
+		t.Fatalf("decode request with ClusterWorkers: %v", err)
+	}
+	if withKey.Hash() != base.Hash() {
+		t.Fatalf("hash with ClusterWorkers %s != without %s", withKey.Hash(), base.Hash())
+	}
+	for _, id := range []ProtocolID{KMeans, LEACH, TDEEC, QLEACH} {
+		want, err := base.RunOne(context.Background(), id, 4, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := withKey.RunOne(context.Background(), id, 4, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: result with ClusterWorkers differs (energy %.17g vs %.17g)",
+				id, float64(got.TotalEnergy), float64(want.TotalEnergy))
+		}
+	}
+}
+
+// withSimKey returns cfg's request JSON with key set to the raw JSON
+// value in its Sim object.
+func withSimKey(t *testing.T, cfg Config, key, value string) []byte {
+	t.Helper()
+	b, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(b, &top); err != nil {
+		t.Fatal(err)
+	}
+	var simObj map[string]json.RawMessage
+	if err := json.Unmarshal(top["Sim"], &simObj); err != nil {
+		t.Fatal(err)
+	}
+	simObj[key] = json.RawMessage(value)
+	if top["Sim"], err = json.Marshal(simObj); err != nil {
+		t.Fatal(err)
+	}
+	if b, err = json.Marshal(top); err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -98,12 +98,12 @@ func ParseExposition(r io.Reader) (*Exposition, error) {
 			continue
 		}
 		if strings.HasPrefix(line, "# HELP ") {
-			parts := strings.SplitN(line[len("# HELP "):], " ", 2)
-			if len(parts) == 0 || !metricNameRe.MatchString(parts[0]) {
+			name, help, hasHelp := strings.Cut(line[len("# HELP "):], " ")
+			if !metricNameRe.MatchString(name) {
 				return nil, fmt.Errorf("line %d: malformed HELP: %s", lineNo, line)
 			}
-			if len(parts) == 2 {
-				family(parts[0]).Help = unescapeHelp(parts[1])
+			if hasHelp {
+				family(name).Help = unescapeHelp(help)
 			}
 			continue
 		}

@@ -65,8 +65,8 @@ func LintExpositions(rs ...io.Reader) error {
 				continue
 			}
 			if strings.HasPrefix(line, "# HELP ") {
-				parts := strings.SplitN(line[len("# HELP "):], " ", 2)
-				if len(parts) == 0 || !metricNameRe.MatchString(parts[0]) {
+				name, _, _ := strings.Cut(line[len("# HELP "):], " ")
+				if !metricNameRe.MatchString(name) {
 					return fmt.Errorf("%s: malformed HELP: %s", loc(lineNo), line)
 				}
 				continue

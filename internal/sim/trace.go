@@ -53,15 +53,6 @@ type Tracer func(TraceEvent)
 // tracing.
 func (e *Engine) SetTracer(t Tracer) { e.tracer = t }
 
-// trace emits an event if a tracer is installed.
-func (e *Engine) trace(ev TraceEvent) {
-	if e.tracer != nil {
-		ev.Time = e.now
-		ev.Round = e.curRound
-		e.tracer(ev)
-	}
-}
-
 // JSONLTracer returns a Tracer writing one JSON object per line to w,
 // plus a flush function returning the first write error encountered.
 func JSONLTracer(w io.Writer) (Tracer, func() error) {
