@@ -161,8 +161,9 @@ tournament-demo:
 # peer's cells. Any data race crashes a daemon and fails the target.
 # Before the kill, the observability surface is checked mid-batch: the
 # federated /metrics/federate scrape must pass the exposition linter
-# (qlecstat -check), a fleet-wide CPU capture through qlecprof must
-# return non-empty profiles from at least two peers (the newest is
+# (qlecstat -check), fleet-wide CPU and heap captures through qlecprof
+# must each return non-empty profiles from at least two peers, and
+# `go tool pprof -top` must read the newest of each (the CPU one is
 # saved to figs/fleet-profile.pprof and uploaded as a CI artifact), and
 # the batch's merged Chrome trace — saved to figs/fleet-trace.json and
 # uploaded as a CI artifact — must span at least two daemon lanes
@@ -206,7 +207,15 @@ fleet-e2e:
 	figs/.qlecprof-fleet fetch -addr $$U1 -id latest -o figs/fleet-profile.pprof \
 		|| { echo "fleet-e2e: profile fetch failed" >&2; exit 1; }; \
 	test -s figs/fleet-profile.pprof || { echo "fleet-e2e: fetched profile is empty" >&2; exit 1; }; \
-	echo "fleet-e2e: mid-batch CPU profiles captured on >=2 peers (figs/fleet-profile.pprof)"; \
+	$(GO) tool pprof -top figs/fleet-profile.pprof >/dev/null \
+		|| { echo "fleet-e2e: go tool pprof cannot read the CPU profile" >&2; exit 1; }; \
+	figs/.qlecprof-fleet capture -addr $$U1 -fleet -kind heap -min 2 \
+		|| { echo "fleet-e2e: fleet heap capture did not cover 2 peers" >&2; exit 1; }; \
+	figs/.qlecprof-fleet fetch -addr $$U1 -id latest -o $$DATA/heap.pprof \
+		|| { echo "fleet-e2e: heap profile fetch failed" >&2; exit 1; }; \
+	$(GO) tool pprof -top -sample_index=alloc_space $$DATA/heap.pprof >/dev/null \
+		|| { echo "fleet-e2e: go tool pprof cannot read the heap profile" >&2; exit 1; }; \
+	echo "fleet-e2e: mid-batch CPU and heap profiles captured on >=2 peers and read by go tool pprof"; \
 	TRACE_OK=; for i in $$(seq 1 150); do \
 		curl -s $$U1/v1/batches/$$B/trace > figs/fleet-trace.json; \
 		if figs/.qlectrace-fleet -chrome figs/fleet-trace.json 2>/dev/null | grep -Eq '^lanes: ([2-9]|[1-9][0-9]+)$$'; then TRACE_OK=1; break; fi; \

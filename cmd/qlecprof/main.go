@@ -1,13 +1,11 @@
-// Command qlecprof captures, fetches and inspects qlecd profile
-// artifacts — one daemon's or the whole fleet's.
+// Command qlecprof captures, lists and fetches qlecd profile artifacts
+// — one daemon's or the whole fleet's.
 //
 // Usage:
 //
 //	qlecprof list    [-addr URL] [-fleet]
 //	qlecprof capture [-addr URL] [-kind cpu] [-seconds 2] [-fleet] [-min 0]
 //	qlecprof fetch   [-addr URL] [-id latest] [-o FILE]
-//	qlecprof top     [-n 10] [-alloc] <profile.txt | ->
-//	qlecprof diff    [-n 10] [-alloc] <before.txt> <after.txt>
 //
 // list shows the artifacts a daemon retains (FIFO-capped by
 // -profile-history); -fleet merges every ready peer's listing. capture
@@ -15,11 +13,16 @@
 // — and with -fleet does so on every ready peer too, so one command
 // profiles the fleet under load; -min N exits 1 unless at least N
 // non-empty captures came back (CI gate). fetch downloads an
-// artifact's raw bytes ("latest" = newest); cpu profiles are gzipped
-// protobuf for `go tool pprof`, the rest are debug=1 text that top and
-// diff read directly. top ranks stacks by value; diff ranks the
-// stack-by-stack change between two captures of the same kind —
-// the needle for "what grew between these two snapshots".
+// artifact's raw bytes ("latest" = newest). Every kind is gzipped
+// protobuf, read with the Go toolchain's pprof:
+//
+//	go tool pprof -top heap.pb.gz
+//	go tool pprof -top -sample_index=alloc_space heap.pb.gz
+//	go tool pprof -top -diff_base before.pb.gz after.pb.gz
+//
+// The last ranks the stack-by-stack change between two captures of
+// the same kind — the needle for "what grew between these two
+// snapshots".
 package main
 
 import (
@@ -49,10 +52,6 @@ func main() {
 		cmdCapture(os.Args[2:])
 	case "fetch":
 		cmdFetch(os.Args[2:])
-	case "top":
-		cmdTop(os.Args[2:])
-	case "diff":
-		cmdDiff(os.Args[2:])
 	default:
 		usage()
 	}
@@ -63,8 +62,7 @@ func usage() {
   qlecprof list    [-addr URL] [-fleet]
   qlecprof capture [-addr URL] [-kind cpu] [-seconds 2] [-fleet] [-min 0]
   qlecprof fetch   [-addr URL] [-id latest] [-o FILE]
-  qlecprof top     [-n 10] [-alloc] <profile.txt | ->
-  qlecprof diff    [-n 10] [-alloc] <before.txt> <after.txt>`)
+read captures with: go tool pprof -top [-diff_base before.pb.gz] FILE`)
 	os.Exit(2)
 }
 
@@ -170,13 +168,13 @@ func cmdList(args []string) {
 			reason = "manual"
 		}
 		rows = append(rows, []string{
-			a.ID, a.Instance, a.Kind, a.Format, reason,
+			a.ID, a.Instance, a.Kind, reason,
 			a.CreatedAt.Format(time.RFC3339),
 			fmt.Sprintf("%d", a.SizeBytes),
 		})
 	}
 	fmt.Println(plot.Table(
-		[]string{"id", "instance", "kind", "format", "reason", "created", "bytes"}, rows))
+		[]string{"id", "instance", "kind", "reason", "created", "bytes"}, rows))
 }
 
 func cmdCapture(args []string) {
@@ -207,8 +205,8 @@ func cmdCapture(args []string) {
 		if a.SizeBytes > 0 {
 			nonEmpty++
 		}
-		fmt.Printf("captured %s  %s  %s  %d bytes  on %s\n",
-			a.ID, a.Kind, a.Format, a.SizeBytes, a.Instance)
+		fmt.Printf("captured %s  %s  %d bytes  on %s\n",
+			a.ID, a.Kind, a.SizeBytes, a.Instance)
 	}
 	for peer, msg := range resp.Errors {
 		fmt.Fprintf(os.Stderr, "qlecprof: peer %s: %s\n", peer, msg)
@@ -257,90 +255,7 @@ func cmdFetch(args []string) {
 		fail(err)
 	}
 	if *out != "" {
-		fmt.Fprintf(os.Stderr, "fetched %s (%s, %s): %d bytes -> %s\n",
-			resp.Header.Get("X-Profile-ID"), resp.Header.Get("X-Profile-Kind"),
-			resp.Header.Get("X-Profile-Format"), n, *out)
+		fmt.Fprintf(os.Stderr, "fetched %s (%s): %d bytes -> %s\n",
+			resp.Header.Get("X-Profile-ID"), resp.Header.Get("X-Profile-Kind"), n, *out)
 	}
-}
-
-// loadText parses one debug=1 text profile from a path or stdin ("-").
-func loadText(path string) *prof.TextProfile {
-	var src io.Reader
-	if path == "-" {
-		src = os.Stdin
-	} else {
-		f, err := os.Open(path)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		src = f
-	}
-	p, err := prof.ParseText(src)
-	if err != nil {
-		fail(fmt.Errorf("%s: %w (cpu profiles are binary; use `go tool pprof`)", path, err))
-	}
-	return p
-}
-
-func cmdTop(args []string) {
-	fs := flag.NewFlagSet("top", flag.ExitOnError)
-	n := fs.Int("n", 10, "rows to show (0 = all)")
-	alloc := fs.Bool("alloc", false, "rank heap profiles by cumulative allocs instead of in-use")
-	profFlags := cli.ProfileFlags(fs)
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		usage()
-	}
-	if err := profFlags.Start(); err != nil {
-		fail(err)
-	}
-	defer profFlags.Stop()
-	p := loadText(fs.Arg(0))
-	printRows(p.Kind, p.Top(*n, *alloc))
-}
-
-func cmdDiff(args []string) {
-	fs := flag.NewFlagSet("diff", flag.ExitOnError)
-	n := fs.Int("n", 10, "rows to show (0 = all)")
-	alloc := fs.Bool("alloc", false, "diff heap profiles by cumulative allocs instead of in-use")
-	profFlags := cli.ProfileFlags(fs)
-	fs.Parse(args)
-	if fs.NArg() != 2 {
-		usage()
-	}
-	if err := profFlags.Start(); err != nil {
-		fail(err)
-	}
-	defer profFlags.Stop()
-	a, b := loadText(fs.Arg(0)), loadText(fs.Arg(1))
-	rows, err := prof.Diff(a, b, *n, *alloc)
-	if err != nil {
-		fail(err)
-	}
-	if len(rows) == 0 {
-		fmt.Println("no change between captures")
-		return
-	}
-	printRows(a.Kind+" diff (after - before)", rows)
-}
-
-// printRows renders Top/Diff rows: value, count, share and the stack's
-// leaf frame (full stack on the following indented line when deeper).
-func printRows(title string, rows []prof.TopRow) {
-	fmt.Println(title + ":")
-	table := make([][]string, 0, len(rows))
-	for _, r := range rows {
-		leaf := "(unsymbolized)"
-		if len(r.Stack) > 0 {
-			leaf = r.Stack[0]
-		}
-		table = append(table, []string{
-			fmt.Sprintf("%+d", r.Value),
-			fmt.Sprintf("%+d", r.Count),
-			fmt.Sprintf("%5.1f%%", r.Frac*100),
-			leaf,
-		})
-	}
-	fmt.Println(plot.Table([]string{"value", "count", "share", "stack leaf"}, table))
 }

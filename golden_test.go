@@ -56,11 +56,37 @@ var goldenRuns = []goldenRun{
 	{experiment.QLECNoRR, 2, 5014, 4837, [4]int{14, 163, 0, 0}, 7.8324055867948701, 13.984704144608145},
 }
 
+// goldenMobileRuns pins QLEC under random-waypoint mobility (1–3 m/s,
+// no pause), the one configuration in which node positions — and so
+// the learner's Eq. (18) costs y(b_i, h_j) — change between rounds.
+// It runs 20 rounds, not 5: over the first rounds heads rotate, so few
+// (member, head) links repeat, and a learner that kept last round's
+// geometry produced the same 5-round output; by round 20 it does not.
+// Captured with %.17g like goldenRuns.
+var goldenMobileRuns = []goldenRun{
+	{experiment.QLEC, 8, 5018, 5018, [4]int{0, 0, 0, 0}, 4.4795573770233634, 10.727732917341367},
+	{experiment.QLEC, 2, 20091, 18005, [4]int{86, 2000, 0, 0}, 24.96451015226592, 13.982021861820305},
+}
+
 func TestGoldenMetricsTable2Defaults(t *testing.T) {
 	cfg := experiment.PaperConfig()
 	cfg.Rounds = 5
 	cfg.Seeds = []uint64{1}
-	for _, g := range goldenRuns {
+	checkGolden(t, cfg, goldenRuns)
+}
+
+func TestGoldenMetricsMobility(t *testing.T) {
+	cfg := experiment.PaperConfig()
+	cfg.Rounds = 20
+	cfg.Seeds = []uint64{1}
+	cfg.Sim.MobilitySpeedMin = 1
+	cfg.Sim.MobilitySpeedMax = 3
+	checkGolden(t, cfg, goldenMobileRuns)
+}
+
+func checkGolden(t *testing.T, cfg experiment.Config, runs []goldenRun) {
+	t.Helper()
+	for _, g := range runs {
 		g := g
 		t.Run(string(g.id), func(t *testing.T) {
 			res, err := cfg.RunOne(context.Background(), g.id, g.lambda, 1, false)

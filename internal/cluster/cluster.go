@@ -92,12 +92,8 @@ type StaticRouter interface {
 	StaticHops() []int
 }
 
-// GeometryInvalidator is an optional Protocol extension for protocols
-// that memoize position-derived quantities (distances, path-loss costs)
-// across rounds. The simulation engine calls InvalidateGeometry after
-// every mobility step, immediately after node positions change; a
-// protocol that never receives the call may assume positions are frozen
-// for the network's lifetime.
+// GeometryInvalidator is implemented by QLEC as a no-op and asserted
+// by no engine.
 type GeometryInvalidator interface {
 	InvalidateGeometry()
 }

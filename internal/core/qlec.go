@@ -216,13 +216,12 @@ func (q *QLEC) NextHop(node int) int {
 	return q.learner.Decide(node, q.heads)
 }
 
-// InvalidateGeometry implements cluster.GeometryInvalidator: the engine
-// moved nodes, so the learner's memoized link costs are stale.
-func (q *QLEC) InvalidateGeometry() {
-	if !q.cfg.DisableQLearning {
-		q.learner.InvalidateGeometry()
-	}
-}
+// InvalidateGeometry does nothing: the learner keeps no geometry
+// across rounds (StartRound re-arms its per-epoch rows after any
+// movement), and no engine calls it. It exists only so QLEC keeps the
+// optional-interface set perfbench's traceProtocol forwards; delete it
+// with cluster.GeometryInvalidator in the next benchmark change.
+func (q *QLEC) InvalidateGeometry() {}
 
 // OnOutcome implements cluster.Protocol: ACK feedback into the link
 // estimator.

@@ -7,6 +7,7 @@ import (
 	"math"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -67,14 +68,17 @@ func (e *Exposition) Family(name string) *MetricFamily {
 }
 
 var (
-	fedSampleRe = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (.+)$`)
-	fedLabelRe  = regexp.MustCompile(`^([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"$`)
+	sampleRe = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (.+)$`)
+	labelRe  = regexp.MustCompile(`^([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"$`)
 )
 
 // ParseExposition parses a Prometheus text exposition into its family
-// and sample structure. It is the read half of federation: lenient on
-// semantics (no cumulative-bucket checking — that is LintExposition's
-// job) but strict on syntax.
+// and sample structure. It is the one reader of the format: the read
+// half of federation, and the front end of LintExposition, which runs
+// its semantic checks (cumulative buckets, duplicate series) on the
+// parsed families. It is strict on syntax: a malformed line, a sample
+// with no preceding # TYPE, or a second # TYPE line for one family is
+// an error naming the line.
 func ParseExposition(r io.Reader) (*Exposition, error) {
 	exp := &Exposition{}
 	byName := make(map[string]*MetricFamily)
@@ -118,8 +122,8 @@ func ParseExposition(r io.Reader) (*Exposition, error) {
 				return nil, fmt.Errorf("line %d: unknown TYPE %q", lineNo, parts[1])
 			}
 			f := family(parts[0])
-			if f.Type != "" && f.Type != parts[1] {
-				return nil, fmt.Errorf("line %d: conflicting TYPE for %q: %s vs %s", lineNo, parts[0], f.Type, parts[1])
+			if f.Type != "" {
+				return nil, fmt.Errorf("line %d: duplicate TYPE for %q", lineNo, parts[0])
 			}
 			f.Type = parts[1]
 			continue
@@ -128,7 +132,7 @@ func ParseExposition(r io.Reader) (*Exposition, error) {
 			continue
 		}
 
-		m := fedSampleRe.FindStringSubmatch(line)
+		m := sampleRe.FindStringSubmatch(line)
 		if m == nil {
 			return nil, fmt.Errorf("line %d: unparseable sample: %s", lineNo, line)
 		}
@@ -154,7 +158,7 @@ func ParseExposition(r io.Reader) (*Exposition, error) {
 		var labels []Label
 		if labelBlock != "" {
 			for _, pair := range splitLabelPairs(labelBlock[1 : len(labelBlock)-1]) {
-				lm := fedLabelRe.FindStringSubmatch(pair)
+				lm := labelRe.FindStringSubmatch(pair)
 				if lm == nil {
 					return nil, fmt.Errorf("line %d: malformed label %q", lineNo, pair)
 				}
@@ -286,15 +290,7 @@ func sortHistogramAccs(accs []*mergedSample) {
 			return 2
 		}
 	}
-	baseKey := func(ls []Label) string {
-		kept := make([]Label, 0, len(ls))
-		for _, l := range ls {
-			if l.Name != "le" {
-				kept = append(kept, l)
-			}
-		}
-		return canonicalLabelKey(kept)
-	}
+	baseKey := func(ls []Label) string { return canonicalLabelKey(labelsWithout(ls, "le")) }
 	leVal := func(ls []Label) float64 {
 		for _, l := range ls {
 			if l.Name == "le" {
@@ -391,6 +387,58 @@ func canonicalLabelKey(ls []Label) string {
 	}
 	b.WriteByte('}')
 	return b.String()
+}
+
+// labelsWithout returns ls minus any label called name.
+func labelsWithout(ls []Label, name string) []Label {
+	kept := make([]Label, 0, len(ls))
+	for _, l := range ls {
+		if l.Name != name {
+			kept = append(kept, l)
+		}
+	}
+	return kept
+}
+
+func parseSampleValue(s string) (float64, error) {
+	switch s {
+	case "+Inf", "Inf":
+		return strconv.ParseFloat("+Inf", 64)
+	case "-Inf":
+		return strconv.ParseFloat("-Inf", 64)
+	case "NaN":
+		return strconv.ParseFloat("NaN", 64)
+	}
+	return strconv.ParseFloat(s, 64)
+}
+
+// splitLabelPairs splits the interior of a label block on commas that
+// are not inside quoted values (values may contain escaped quotes).
+func splitLabelPairs(s string) []string {
+	var out []string
+	var b strings.Builder
+	inQuote := false
+	for i := 0; i < len(s); i++ {
+		ch := s[i]
+		switch {
+		case ch == '\\' && inQuote && i+1 < len(s):
+			b.WriteByte(ch)
+			i++
+			b.WriteByte(s[i])
+		case ch == '"':
+			inQuote = !inQuote
+			b.WriteByte(ch)
+		case ch == ',' && !inQuote:
+			out = append(out, b.String())
+			b.Reset()
+		default:
+			b.WriteByte(ch)
+		}
+	}
+	if b.Len() > 0 {
+		out = append(out, b.String())
+	}
+	return out
 }
 
 func unescapeLabelValue(v string) string {

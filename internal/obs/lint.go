@@ -1,28 +1,29 @@
 package obs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"regexp"
-	"strconv"
 	"strings"
 )
 
 // LintExposition is a promtool-style validity check for Prometheus text
-// exposition output, used by tests and CI (no external binaries). It
-// verifies:
+// exposition output, used by tests and CI (no external binaries). The
+// syntax checks are ParseExposition's:
 //
 //   - every sample line parses as `name[{labels}] value`
-//   - every sample is preceded by # HELP and # TYPE lines for its family
+//   - every sample is preceded by a # TYPE line for its family, and no
+//     family has two
 //   - metric and label names match the Prometheus grammar
 //   - TYPE is one of counter, gauge, histogram
-//   - histogram bucket counts are cumulative and the +Inf bucket equals
-//     the family's _count sample
-//   - no duplicate series (same name + label block twice)
+//
+// On the parsed families it then verifies:
+//
+//   - histogram buckets carry an le label, their counts are cumulative
+//     and the +Inf bucket equals the family's _count sample
+//   - no duplicate series (same name and label set, in any label order)
 //
 // It returns nil when the input is clean, or an error naming the first
-// offending line.
+// offence.
 func LintExposition(r io.Reader) error {
 	return LintExpositions(r)
 }
@@ -32,195 +33,101 @@ func LintExposition(r io.Reader) error {
 // series uniqueness is enforced across all of them. A process exposing
 // two registries (say, a daemon's operational registry and a library's
 // private one) must not let them both claim a metric name — Prometheus
-// would see a duplicate family and reject the merged scrape.
+// would see a duplicate family and reject the merged scrape. With more
+// than one reader, errors name the offending input ("input 2 ...").
 func LintExpositions(rs ...io.Reader) error {
-	sampleRe := regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (.+)$`)
-	labelRe := regexp.MustCompile(`^([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"$`)
-
-	types := make(map[string]string) // family -> TYPE
-	seen := make(map[string]bool)    // full series line key
-	type histState struct {
-		lastCum  float64
-		infCum   float64
-		hasInf   bool
-		count    float64
-		hasCount bool
-	}
-	hists := make(map[string]*histState) // family + base labels (le stripped)
-
-	for ri, r := range rs {
-		loc := func(lineNo int) string {
-			if len(rs) == 1 {
-				return fmt.Sprintf("line %d", lineNo)
-			}
-			return fmt.Sprintf("input %d line %d", ri+1, lineNo)
+	owner := make(map[string]int) // family -> 1-based input
+	seen := make(map[string]bool) // series key
+	for i, r := range rs {
+		// Parse errors start "line N", so they read "input 2 line N: ...";
+		// the checks below name no line: "input 2: ...".
+		atLine, at := "", ""
+		if len(rs) > 1 {
+			atLine, at = fmt.Sprintf("input %d ", i+1), fmt.Sprintf("input %d: ", i+1)
 		}
-		sc := bufio.NewScanner(r)
-		sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-		lineNo := 0
-		for sc.Scan() {
-			lineNo++
-			line := sc.Text()
-			if line == "" {
-				continue
-			}
-			if strings.HasPrefix(line, "# HELP ") {
-				name, _, _ := strings.Cut(line[len("# HELP "):], " ")
-				if !metricNameRe.MatchString(name) {
-					return fmt.Errorf("%s: malformed HELP: %s", loc(lineNo), line)
-				}
-				continue
-			}
-			if strings.HasPrefix(line, "# TYPE ") {
-				parts := strings.Fields(line[len("# TYPE "):])
-				if len(parts) != 2 || !metricNameRe.MatchString(parts[0]) {
-					return fmt.Errorf("%s: malformed TYPE: %s", loc(lineNo), line)
-				}
-				switch parts[1] {
-				case "counter", "gauge", "histogram":
-				default:
-					return fmt.Errorf("%s: unknown TYPE %q", loc(lineNo), parts[1])
-				}
-				if _, dup := types[parts[0]]; dup {
-					return fmt.Errorf("%s: duplicate TYPE for %q", loc(lineNo), parts[0])
-				}
-				types[parts[0]] = parts[1]
-				continue
-			}
-			if strings.HasPrefix(line, "#") {
-				continue // other comments are legal
-			}
-
-			m := sampleRe.FindStringSubmatch(line)
-			if m == nil {
-				return fmt.Errorf("%s: unparseable sample: %s", loc(lineNo), line)
-			}
-			name, labels, valStr := m[1], m[2], m[3]
-			val, err := parseSampleValue(valStr)
-			if err != nil {
-				return fmt.Errorf("%s: bad value %q: %v", loc(lineNo), valStr, err)
-			}
-
-			family := name
-			suffix := ""
-			for _, s := range []string{"_bucket", "_sum", "_count"} {
-				base := strings.TrimSuffix(name, s)
-				if base != name && types[base] == "histogram" {
-					family, suffix = base, s
-					break
-				}
-			}
-			if _, ok := types[family]; !ok {
-				return fmt.Errorf("%s: sample %q has no preceding # TYPE", loc(lineNo), name)
-			}
-
-			var le string
-			baseLabels := labels
-			if labels != "" {
-				inner := labels[1 : len(labels)-1]
-				var kept []string
-				for _, pair := range splitLabelPairs(inner) {
-					lm := labelRe.FindStringSubmatch(pair)
-					if lm == nil {
-						return fmt.Errorf("%s: malformed label %q", loc(lineNo), pair)
-					}
-					if lm[1] == "le" && suffix == "_bucket" {
-						le = lm[2]
-						continue
-					}
-					kept = append(kept, pair)
-				}
-				baseLabels = ""
-				if len(kept) > 0 {
-					baseLabels = "{" + strings.Join(kept, ",") + "}"
-				}
-			}
-			if suffix == "_bucket" && le == "" {
-				return fmt.Errorf("%s: histogram bucket without le label", loc(lineNo))
-			}
-
-			key := name + labels
-			if seen[key] {
-				return fmt.Errorf("%s: duplicate series %s", loc(lineNo), key)
-			}
-			seen[key] = true
-
-			if types[family] == "histogram" && suffix != "" {
-				hk := family + baseLabels
-				h := hists[hk]
-				if h == nil {
-					h = &histState{}
-					hists[hk] = h
-				}
-				switch suffix {
-				case "_bucket":
-					if val < h.lastCum {
-						return fmt.Errorf("%s: non-cumulative bucket in %s", loc(lineNo), hk)
-					}
-					h.lastCum = val
-					if le == "+Inf" {
-						h.infCum, h.hasInf = val, true
-					}
-				case "_count":
-					h.count, h.hasCount = val, true
-				}
-			}
+		exp, err := ParseExposition(r)
+		if err != nil {
+			return fmt.Errorf("%s%w", atLine, err)
 		}
-		if err := sc.Err(); err != nil {
-			return err
-		}
-	}
-	for hk, h := range hists {
-		if !h.hasInf {
-			return fmt.Errorf("histogram %s missing +Inf bucket", hk)
-		}
-		if !h.hasCount {
-			return fmt.Errorf("histogram %s missing _count", hk)
-		}
-		if h.infCum != h.count {
-			return fmt.Errorf("histogram %s: +Inf bucket %g != _count %g", hk, h.infCum, h.count)
+		for _, f := range exp.Families {
+			if f.Type == "" {
+				continue // a # HELP alone: no TYPE, no samples
+			}
+			if prev, dup := owner[f.Name]; dup {
+				return fmt.Errorf("%sfamily %q already exposed by input %d", at, f.Name, prev)
+			}
+			owner[f.Name] = i + 1
+			if err := lintFamily(f, seen); err != nil {
+				return fmt.Errorf("%s%w", at, err)
+			}
 		}
 	}
 	return nil
 }
 
-func parseSampleValue(s string) (float64, error) {
-	switch s {
-	case "+Inf", "Inf":
-		return strconv.ParseFloat("+Inf", 64)
-	case "-Inf":
-		return strconv.ParseFloat("-Inf", 64)
-	case "NaN":
-		return strconv.ParseFloat("NaN", 64)
-	}
-	return strconv.ParseFloat(s, 64)
+// histState tracks one histogram child (family plus labels without le)
+// while its samples are checked in exposition order.
+type histState struct {
+	key             string
+	lastCum, infCum float64
+	count           float64
+	hasInf          bool
+	hasCount        bool
 }
 
-// splitLabelPairs splits the interior of a label block on commas that
-// are not inside quoted values (values may contain escaped quotes).
-func splitLabelPairs(s string) []string {
-	var out []string
-	var b strings.Builder
-	inQuote := false
-	for i := 0; i < len(s); i++ {
-		ch := s[i]
-		switch {
-		case ch == '\\' && inQuote && i+1 < len(s):
-			b.WriteByte(ch)
-			i++
-			b.WriteByte(s[i])
-		case ch == '"':
-			inQuote = !inQuote
-			b.WriteByte(ch)
-		case ch == ',' && !inQuote:
-			out = append(out, b.String())
-			b.Reset()
-		default:
-			b.WriteByte(ch)
+// lintFamily checks one parsed family's series uniqueness (recording
+// keys in seen) and, for histograms, the bucket invariants.
+func lintFamily(f *MetricFamily, seen map[string]bool) error {
+	var hists []*histState
+	byKey := make(map[string]*histState)
+	for _, s := range f.Samples {
+		key := s.Name + canonicalLabelKey(s.Labels)
+		if seen[key] {
+			return fmt.Errorf("duplicate series %s", key)
+		}
+		seen[key] = true
+		if f.Type != "histogram" || s.Name == f.Name {
+			continue
+		}
+		suffix := strings.TrimPrefix(s.Name, f.Name)
+		base := s.Labels
+		le := ""
+		if suffix == "_bucket" {
+			if le = s.Label("le"); le == "" {
+				return fmt.Errorf("histogram bucket %s without le label", key)
+			}
+			base = labelsWithout(s.Labels, "le")
+		}
+		hk := f.Name + canonicalLabelKey(base)
+		h := byKey[hk]
+		if h == nil {
+			h = &histState{key: hk}
+			byKey[hk] = h
+			hists = append(hists, h)
+		}
+		switch suffix {
+		case "_bucket":
+			if s.Value < h.lastCum {
+				return fmt.Errorf("non-cumulative bucket in %s", hk)
+			}
+			h.lastCum = s.Value
+			if le == "+Inf" {
+				h.infCum, h.hasInf = s.Value, true
+			}
+		case "_count":
+			h.count, h.hasCount = s.Value, true
 		}
 	}
-	if b.Len() > 0 {
-		out = append(out, b.String())
+	for _, h := range hists {
+		if !h.hasInf {
+			return fmt.Errorf("histogram %s missing +Inf bucket", h.key)
+		}
+		if !h.hasCount {
+			return fmt.Errorf("histogram %s missing _count", h.key)
+		}
+		if h.infCum != h.count {
+			return fmt.Errorf("histogram %s: +Inf bucket %g != _count %g", h.key, h.infCum, h.count)
+		}
 	}
-	return out
+	return nil
 }

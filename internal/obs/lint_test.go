@@ -17,6 +17,8 @@ func TestLintRejectsMalformed(t *testing.T) {
 		{"bad value", "# TYPE foo counter\nfoo abc\n"},
 		{"bad metric name", "# TYPE foo counter\n2foo 1\n"},
 		{"duplicate series", "# TYPE foo counter\nfoo 1\nfoo 2\n"},
+		{"duplicate series, labels reordered", "# TYPE foo counter\n" +
+			`foo{a="1",b="2"} 1` + "\n" + `foo{b="2",a="1"} 2` + "\n"},
 		{"malformed label", `# TYPE foo counter` + "\n" + `foo{bad} 1` + "\n"},
 		{"bucket without le", "# TYPE foo histogram\nfoo_bucket 1\nfoo_sum 1\nfoo_count 1\n"},
 		{"non-cumulative buckets", "# TYPE foo histogram\n" +
@@ -84,5 +86,20 @@ func TestLintExpositionsCrossRegistry(t *testing.T) {
 	}
 	if err := LintExpositions(bytes.NewReader(ea.Bytes()), bytes.NewReader(ec.Bytes())); err != nil {
 		t.Fatalf("disjoint registries fail joint lint: %v", err)
+	}
+}
+
+// TestParseExpositionRejectsRepeatedType: one family, one # TYPE line.
+// The linter builds on the parser, so the parser is where a repeat —
+// same type or not — is caught.
+func TestParseExpositionRejectsRepeatedType(t *testing.T) {
+	for _, tc := range []struct{ in, line string }{
+		{"# TYPE foo counter\n# TYPE foo counter\nfoo 1\n", "line 2"},
+		{"# TYPE foo counter\nfoo 1\n# TYPE foo gauge\n", "line 3"},
+	} {
+		_, err := ParseExposition(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.line) {
+			t.Errorf("ParseExposition(%q) = %v, want an error at %s", tc.in, err, tc.line)
+		}
 	}
 }

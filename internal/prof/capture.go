@@ -47,7 +47,7 @@ func Capture(ctx context.Context, kind string, d time.Duration) (*Artifact, erro
 			return nil, err
 		}
 		return &Artifact{
-			Kind: "cpu", Format: "pprof", CreatedAt: now,
+			Kind: "cpu", CreatedAt: now,
 			DurationSeconds: d.Seconds(), Data: data,
 		}, nil
 	case "heap", "goroutine", "block", "mutex":
@@ -56,14 +56,13 @@ func Capture(ctx context.Context, kind string, d time.Duration) (*Artifact, erro
 			return nil, fmt.Errorf("prof: unknown profile %q", kind)
 		}
 		var buf bytes.Buffer
-		// debug=1 keeps the capture human-readable and parseable by
-		// qlecprof's stdlib text parser; block/mutex stay empty unless
-		// the daemon enabled the corresponding runtime rates
-		// (-pprof-block / -pprof-mutex).
-		if err := p.WriteTo(&buf, 1); err != nil {
+		// debug=0 writes gzipped protobuf, the same format as cpu
+		// captures; block/mutex stay empty unless the daemon enabled
+		// the corresponding runtime rates (-pprof-block / -pprof-mutex).
+		if err := p.WriteTo(&buf, 0); err != nil {
 			return nil, err
 		}
-		return &Artifact{Kind: kind, Format: "text", CreatedAt: now, Data: buf.Bytes()}, nil
+		return &Artifact{Kind: kind, CreatedAt: now, Data: buf.Bytes()}, nil
 	default:
 		return nil, fmt.Errorf("prof: invalid profile kind %q", kind)
 	}

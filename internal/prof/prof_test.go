@@ -2,7 +2,9 @@ package prof
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -64,7 +66,7 @@ func TestStoreFIFOCap(t *testing.T) {
 	st := NewStore(3, reg)
 	var ids []string
 	for i := 0; i < 5; i++ {
-		a := st.Add(&Artifact{Kind: "heap", Format: "text", Reason: "manual",
+		a := st.Add(&Artifact{Kind: "heap", Reason: "manual",
 			Data: []byte{byte(i)}})
 		ids = append(ids, a.ID)
 	}
@@ -98,34 +100,49 @@ func TestStoreFIFOCap(t *testing.T) {
 	}
 }
 
+// pprofBody gunzips a protobuf profile capture. Names — sample types,
+// function names — sit verbatim in the protobuf string table, so a
+// bytes.Contains on the result checks them without a decoder.
+func pprofBody(t *testing.T, data []byte) []byte {
+	t.Helper()
+	zr, err := gzip.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("capture is not gzip-framed: %v", err)
+	}
+	body, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatalf("gunzip capture: %v", err)
+	}
+	return body
+}
+
 func TestCaptureKinds(t *testing.T) {
 	if _, err := Capture(context.Background(), "bogus", 0); err == nil {
 		t.Fatal("expected error for invalid kind")
 	}
+	// An 8 MB allocation is sampled with near certainty at the default
+	// MemProfileRate; the GC publishes it to the heap profile.
+	sink = append(sink[:0], make([]byte, 8<<20))
+	runtime.GC()
 	heap, err := Capture(context.Background(), "heap", 0)
 	if err != nil {
 		t.Fatalf("heap capture: %v", err)
 	}
-	if heap.Format != "text" || len(heap.Data) == 0 {
-		t.Fatalf("heap artifact: format=%q size=%d", heap.Format, len(heap.Data))
-	}
-	p, err := ParseText(bytes.NewReader(heap.Data))
-	if err != nil {
-		t.Fatalf("parse heap capture: %v", err)
-	}
-	if p.Kind != "heap" {
-		t.Fatalf("parsed kind = %q, want heap", p.Kind)
+	body := pprofBody(t, heap.Data)
+	for _, want := range []string{"inuse_space", "alloc_space", "qlec/internal/prof.TestCaptureKinds"} {
+		if !bytes.Contains(body, []byte(want)) {
+			t.Errorf("heap capture lacks %q", want)
+		}
 	}
 	gor, err := Capture(context.Background(), "goroutine", 0)
 	if err != nil {
 		t.Fatalf("goroutine capture: %v", err)
 	}
-	gp, err := ParseText(bytes.NewReader(gor.Data))
-	if err != nil {
-		t.Fatalf("parse goroutine capture: %v", err)
-	}
-	if gp.Kind != "goroutine" || len(gp.Entries) == 0 {
-		t.Fatalf("goroutine profile: kind=%q entries=%d", gp.Kind, len(gp.Entries))
+	body = pprofBody(t, gor.Data)
+	for _, want := range []string{"goroutine", "qlec/internal/prof.Capture"} {
+		if !bytes.Contains(body, []byte(want)) {
+			t.Errorf("goroutine capture lacks %q", want)
+		}
 	}
 }
 
@@ -134,12 +151,8 @@ func TestCaptureCPU(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cpu capture: %v", err)
 	}
-	if a.Format != "pprof" || len(a.Data) < 2 {
-		t.Fatalf("cpu artifact: format=%q size=%d", a.Format, len(a.Data))
-	}
-	// StartCPUProfile writes a gzipped protobuf.
-	if a.Data[0] != 0x1f || a.Data[1] != 0x8b {
-		t.Fatalf("cpu capture not gzip-framed: % x", a.Data[:2])
+	if body := pprofBody(t, a.Data); !bytes.Contains(body, []byte("samples")) {
+		t.Error("cpu capture lacks the samples sample type")
 	}
 	if a.DurationSeconds <= 0 {
 		t.Fatalf("DurationSeconds = %v", a.DurationSeconds)

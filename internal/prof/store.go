@@ -8,16 +8,13 @@ import (
 	"qlec/internal/obs"
 )
 
-// Artifact is one captured profile held in the store. Data is omitted
+// Artifact is one captured profile held in the store. Data is the
+// gzipped protobuf `go tool pprof` reads, for every kind. It is omitted
 // from list responses (SizeBytes stands in) and streamed by
 // GET /v1/profiles/{id}.
 type Artifact struct {
 	ID   string `json:"id"`
 	Kind string `json:"kind"` // cpu | heap | goroutine | block | mutex
-	// Format is "pprof" (gzipped protobuf, for go tool pprof) for cpu
-	// captures and "text" (debug=1) for the lookup profiles, which
-	// qlecprof can summarise and diff without the pprof toolchain.
-	Format string `json:"format"`
 	// Reason records why the capture happened: "manual" for API
 	// requests, or the anomaly trigger ("scale-up", ...).
 	Reason    string    `json:"reason"`

@@ -170,14 +170,6 @@ type Learner struct {
 	yRows    []float64
 	yScratch []float64
 
-	// yPair memoizes y(from, to) per link across epochs: positions only
-	// change under mobility, which the engine reports via
-	// InvalidateGeometry (cluster.GeometryInvalidator), so in a static
-	// network each link's cost is computed exactly once for the run.
-	// Dense (N+1)-stride layout with to==BSID at column 0; NaN marks an
-	// uncomputed cell. Allocated on first BeginEpoch.
-	yPair []float64
-
 	updates   uint64
 	lastDelta float64
 	maxDelta  *deltaWindow
@@ -332,35 +324,6 @@ func (l *Learner) BeginEpoch(heads []int) {
 		l.yRows = make([]float64, need)
 	}
 	l.yRows = l.yRows[:need]
-	if l.yPair == nil {
-		l.yPair = make([]float64, n*(n+1))
-		l.invalidatePairs()
-	}
-}
-
-// InvalidateGeometry implements cluster.GeometryInvalidator for the
-// learner: node positions changed, so every memoized link cost is
-// stale. Per-epoch rows need no touch — the next BeginEpoch (which
-// always follows a mobility step before any Decide) re-stamps them.
-func (l *Learner) InvalidateGeometry() {
-	l.invalidatePairs()
-}
-
-func (l *Learner) invalidatePairs() {
-	for i := range l.yPair {
-		l.yPair[i] = math.NaN()
-	}
-}
-
-// yMemo returns y(from, to) through the cross-epoch link memo.
-func (l *Learner) yMemo(from, to int) float64 {
-	cell := from*(len(l.v)+1) + to + 1
-	v := l.yPair[cell]
-	if v != v { // NaN: not yet computed for the current geometry
-		v = l.y(from, to)
-		l.yPair[cell] = v
-	}
-	return v
 }
 
 // yFor returns the y(from, ·) row for the action set [BS, heads...],
@@ -384,16 +347,8 @@ func (l *Learner) yFor(from int, heads []int) []float64 {
 	return row
 }
 
-// fillY computes row = [y(from, BS), y(from, heads[0]), ...], reading
-// each link through the cross-epoch memo when it is allocated.
+// fillY computes row = [y(from, BS), y(from, heads[0]), ...].
 func (l *Learner) fillY(row []float64, from int, heads []int) {
-	if l.yPair != nil {
-		row[0] = l.yMemo(from, network.BSID)
-		for j, h := range heads {
-			row[j+1] = l.yMemo(from, h)
-		}
-		return
-	}
 	row[0] = l.y(from, network.BSID)
 	for j, h := range heads {
 		row[j+1] = l.y(from, h)

@@ -9,8 +9,10 @@ package service_test
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"strings"
@@ -124,6 +126,26 @@ func testServerURL(t *testing.T, cl interface{ BaseURL() string }) string {
 	return cl.BaseURL()
 }
 
+// requireGoroutineProfile gunzips a fetched capture and requires the
+// goroutine sample type and the capturing frame in its protobuf string
+// table, where names sit verbatim.
+func requireGoroutineProfile(t *testing.T, raw []byte) {
+	t.Helper()
+	zr, err := gzip.NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("fetched profile is not gzip-framed: %v", err)
+	}
+	body, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatalf("gunzip fetched profile: %v", err)
+	}
+	for _, want := range []string{"goroutine", "qlec/internal/prof.Capture"} {
+		if !bytes.Contains(body, []byte(want)) {
+			t.Errorf("fetched goroutine profile lacks %q", want)
+		}
+	}
+}
+
 // TestProfileCaptureAPI: capture, list, fetch; FIFO retention caps the
 // store and the gauge reports it.
 func TestProfileCaptureAPI(t *testing.T) {
@@ -140,8 +162,8 @@ func TestProfileCaptureAPI(t *testing.T) {
 			t.Fatalf("capture %d returned %d profiles, want 1", i, len(resp.Profiles))
 		}
 		a := resp.Profiles[0]
-		if a.Kind != "goroutine" || a.Format != "text" || a.SizeBytes == 0 {
-			t.Fatalf("capture %d artifact = %+v, want non-empty goroutine text", i, a)
+		if a.Kind != "goroutine" || a.SizeBytes == 0 {
+			t.Fatalf("capture %d artifact = %+v, want non-empty goroutine", i, a)
 		}
 		ids = append(ids, a.ID)
 	}
@@ -158,7 +180,7 @@ func TestProfileCaptureAPI(t *testing.T) {
 	}
 
 	// The evicted artifact 404s; "latest" resolves to the newest; raw
-	// bytes parse as a goroutine text profile.
+	// bytes are a gzipped protobuf goroutine profile.
 	if resp, err := http.Get(base + "/v1/profiles/" + ids[0]); err != nil {
 		t.Fatal(err)
 	} else {
@@ -167,14 +189,7 @@ func TestProfileCaptureAPI(t *testing.T) {
 			t.Errorf("evicted artifact GET = %d, want 404", resp.StatusCode)
 		}
 	}
-	raw := httpGet(t, base+"/v1/profiles/latest")
-	tp, err := prof.ParseText(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("fetched profile does not parse: %v", err)
-	}
-	if tp.Kind != "goroutine" || len(tp.Entries) == 0 {
-		t.Errorf("parsed profile kind=%q entries=%d, want goroutine with entries", tp.Kind, len(tp.Entries))
-	}
+	requireGoroutineProfile(t, httpGet(t, base+"/v1/profiles/latest"))
 
 	if !strings.Contains(string(httpGet(t, base+"/metrics")), "qlecd_profiles_held 2") {
 		t.Error("qlecd_profiles_held gauge does not report 2 retained artifacts")
@@ -330,10 +345,7 @@ func TestFleetProfileCapture(t *testing.T) {
 	// And the remote artifact is fetchable from the daemon that holds it.
 	for _, a := range resp.Profiles {
 		if a.Instance == n2.url {
-			raw := httpGet(t, n2.url+"/v1/profiles/"+a.ID)
-			if _, err := prof.ParseText(bytes.NewReader(raw)); err != nil {
-				t.Errorf("peer-held artifact %s does not parse: %v", a.ID, err)
-			}
+			requireGoroutineProfile(t, httpGet(t, n2.url+"/v1/profiles/"+a.ID))
 		}
 	}
 }

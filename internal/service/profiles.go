@@ -116,10 +116,10 @@ func (s *Server) handleProfileList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, arts)
 }
 
-// handleProfileGet implements GET /v1/profiles/{id}: the raw profile
-// bytes (Content-Type by format, metadata in X-Profile-* headers), or
-// the JSON metadata alone with ?meta=1. The reserved id "latest"
-// resolves to the newest artifact.
+// handleProfileGet implements GET /v1/profiles/{id}: the raw gzipped
+// protobuf bytes (metadata in X-Profile-* headers), or the JSON
+// metadata alone with ?meta=1. The reserved id "latest" resolves to
+// the newest artifact.
 func (s *Server) handleProfileGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if id == "latest" {
@@ -134,14 +134,9 @@ func (s *Server) handleProfileGet(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, art.Meta())
 		return
 	}
-	ct := "text/plain; charset=utf-8"
-	if art.Format == "pprof" {
-		ct = "application/octet-stream"
-	}
-	w.Header().Set("Content-Type", ct)
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Profile-ID", art.ID)
 	w.Header().Set("X-Profile-Kind", art.Kind)
-	w.Header().Set("X-Profile-Format", art.Format)
 	if art.Reason != "" {
 		w.Header().Set("X-Profile-Reason", art.Reason)
 	}

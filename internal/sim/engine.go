@@ -252,9 +252,6 @@ func (e *Engine) moveNodes() {
 	for i, n := range e.net.Nodes {
 		n.Pos = pos[i]
 	}
-	if g, ok := e.proto.(cluster.GeometryInvalidator); ok {
-		g.InvalidateGeometry()
-	}
 }
 
 // runRound executes one full round: head selection, event loop, drain,
